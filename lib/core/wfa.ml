@@ -15,13 +15,12 @@
      and the Theorem 7/8 hierarchy experiments;
    - {!Universal}: the Figure 4 universal construction, its graph
      machinery, the direct (type-optimized) objects and pseudo-RMW;
-   - {!Metrics}: the observability layer — per-process/per-register
-     access counters, span histograms, one schema over both backends;
-   - {!Telemetry}: production-style contention counters, the windowed
-     sampler, and the OpenMetrics/JSON exporters (DESIGN.md §13);
-   - {!Tracing}: the structured event journal — per-execution causal
-     traces with timeline, Chrome-trace and round-trippable text
-     renderers;
+   - {!Telemetry}: the counter grid holding every count — per-process
+     reads and writes and the contention events — plus the windowed
+     sampler and the OpenMetrics/JSON exporters (DESIGN.md §13);
+   - {!Tracing}: the structured event journal — the one ordered record,
+     with per-span access counts derived from it, and timeline,
+     Chrome-trace and round-trippable text renderers;
    - {!Runtime}: the per-process execution context ({!Ctx}) bundling
      pid, observer sink, deterministic RNG and backend selection
      ({!Backend}) — the seam every algorithm's [attach] consumes. *)
@@ -35,7 +34,6 @@ module Agreement = Agreement
 module Universal = Universal
 module Workload = Workload
 module Consensus = Consensus
-module Metrics = Metrics
 module Telemetry = Telemetry
 module Tracing = Tracing
 module Runtime = Runtime

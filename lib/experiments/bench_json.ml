@@ -14,12 +14,14 @@
    Three backends feed rows:
 
    - "sim":    exact step counts from the deterministic simulator, fed
-               through the Metrics recorder attached as a Driver
-               observer.  Machine-independent; the scan rows must equal
-               Scan.cost_formula (the validator re-checks this), and the
-               universal-construction rows carry the spec-replay counts
-               that separate the incremental memo (PR 5) from the
-               from-scratch Reference mode.
+               through a Runtime.Sink attached as a Driver observer
+               (counts from the telemetry grid, spans and register
+               identity from the journal).  Machine-independent; the
+               scan rows must equal Scan.cost_formula (the validator
+               re-checks this), and the universal-construction rows
+               carry the spec-replay counts that separate the
+               incremental memo (PR 5) from the from-scratch Reference
+               mode.
    - "native": wall-clock measurements over real OCaml domains
                (Atomic registers), at procs in {1,2,4,8} — contended and
                uncontended variants of the hot paths, each with the
@@ -962,12 +964,15 @@ let variant_name = function
   | Snapshot.Scan.Lattice -> "scan_lattice"
 
 (* One scan per process; [contended] interleaves all of them round-robin,
-   otherwise only pid 0 runs.  Counts come from a Metrics recorder
-   attached as the driver observer, so the rows exercise the same layer
-   users get — and wait-freedom makes the counts schedule-oblivious,
-   which the validator pins down against the formulas. *)
+   otherwise only pid 0 runs.  Counts come from the sink's driver
+   observer — reads and writes from the counter grid, the registers
+   touched from the journal — so the rows exercise the same layer users
+   get; wait-freedom makes the counts schedule-oblivious, which the
+   validator pins down against the formulas. *)
 let sim_scan_rows ~variant ~procs ~contended =
-  let recorder = Metrics.Recorder.create ~procs in
+  let counters = Telemetry.Counters.create ~procs () in
+  let journal = Tracing.Journal.create ~procs () in
+  let sink = Runtime.Sink.make ~journal ~telemetry:counters () in
   let program () =
     let t = Scan_sim.create ~procs in
     fun pid ->
@@ -975,26 +980,34 @@ let sim_scan_rows ~variant ~procs ~contended =
       ignore (Scan_sim.scan ~variant h (pid + 1))
   in
   let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
+    Pram.Driver.create ?observer:(Runtime.Sink.observer sink) ~procs program
   in
   if contended then
     Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d
   else ignore (Pram.Driver.run_solo d 0);
-  let snap = Metrics.Recorder.snapshot recorder in
+  let touched =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun e ->
+           match e.Tracing.ev with
+           | Tracing.Access { reg_id; _ } -> Some reg_id
+           | _ -> None)
+         (Tracing.Journal.events journal))
+  in
   let bench =
     Printf.sprintf "%s_%s" (variant_name variant)
       (if contended then "contended" else "uncontended")
   in
-  let mk metric value =
-    row ~bench ~procs ~backend:"sim" ~metric ~value:(float_of_int value)
+  let mk metric e =
+    row ~bench ~procs ~backend:"sim" ~metric
+      ~value:(float_of_int (Telemetry.Counters.get counters ~pid:0 ~family:0 e))
       ~unit_:"accesses"
   in
   [
-    mk "reads" (Metrics.Recorder.reads recorder ~pid:0);
-    mk "writes" (Metrics.Recorder.writes recorder ~pid:0);
+    mk "reads" Telemetry.Event.Read;
+    mk "writes" Telemetry.Event.Write;
     row ~bench ~procs ~backend:"sim" ~metric:"registers_touched"
-      ~value:(float_of_int (List.length snap.Metrics.Snapshot.per_register))
+      ~value:(float_of_int (List.length touched))
       ~unit_:"registers";
   ]
 
@@ -1002,10 +1015,12 @@ module UC_sim = Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Sim
 
 (* Per-operation step histogram of the generic universal construction
    under round-robin contention: the history grows with every operation,
-   so per-op access counts spread out — exactly what the span API is
-   for.  Operations come from the seeded workload scripts. *)
+   so per-op access counts spread out.  Each operation is an "apply"
+   span in a journal fed by the driver observer; the histogram is read
+   back from the journal.  Operations come from the seeded workload
+   scripts. *)
 let sim_universal_rows ~procs ~ops_per_proc =
-  let recorder = Metrics.Recorder.create ~procs in
+  let journal = Tracing.Journal.create ~procs () in
   let script = Workload.counter_script ~seed:11 ~ops_per_proc in
   let program () =
     let t = UC_sim.create ~procs in
@@ -1014,16 +1029,16 @@ let sim_universal_rows ~procs ~ops_per_proc =
       List.iter
         (fun op ->
           ignore
-            (Metrics.Recorder.with_span recorder ~pid ~op:"apply" (fun () ->
+            (Tracing.Journal.with_span journal ~pid ~op:"apply" (fun () ->
                  UC_sim.execute h op)))
         (script pid)
   in
   let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
+    Pram.Driver.create ~observer:(Tracing.Journal.observer journal) ~procs
       program
   in
   Pram.Scheduler.run ~max_steps:50_000_000 (Pram.Scheduler.round_robin ()) d;
-  match Metrics.Recorder.span_stats recorder ~op:"apply" with
+  match Tracing.span_stats (Tracing.archive journal) ~op:"apply" with
   | None -> []
   | Some s ->
       let mk metric value =
@@ -1031,10 +1046,10 @@ let sim_universal_rows ~procs ~ops_per_proc =
           ~value ~unit_:"accesses"
       in
       [
-        mk "steps_min" (float_of_int s.Metrics.Stats.min);
-        mk "steps_mean" s.Metrics.Stats.mean;
-        mk "steps_p99" (float_of_int s.Metrics.Stats.p99);
-        mk "steps_max" (float_of_int s.Metrics.Stats.max);
+        mk "steps_min" (float_of_int s.Telemetry.Stats.min);
+        mk "steps_mean" s.Telemetry.Stats.mean;
+        mk "steps_p99" (float_of_int s.Telemetry.Stats.p99);
+        mk "steps_max" (float_of_int s.Telemetry.Stats.max);
       ]
 
 (* PR 5 universal-construction benches: the same deterministic script in
@@ -1047,7 +1062,8 @@ module Sim_universal (O : Spec.Object_spec.S) = struct
   module U = Universal.Construction.Make (O) (Pram.Memory.Sim_v)
 
   let run ~procs ~mode ~script =
-    let recorder = Metrics.Recorder.create ~procs in
+    let counters = Telemetry.Counters.create ~procs () in
+    let sink = Runtime.Sink.make ~telemetry:counters () in
     let replays = Array.make procs 0 in
     let program () =
       let t = U.create ~procs in
@@ -1057,19 +1073,11 @@ module Sim_universal (O : Spec.Object_spec.S) = struct
         replays.(pid) <- (U.stats h).U.spec_replays
     in
     let d =
-      Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-        program
+      Pram.Driver.create ?observer:(Runtime.Sink.observer sink) ~procs program
     in
     Pram.Scheduler.run ~max_steps:50_000_000 (Pram.Scheduler.round_robin ()) d;
-    let total count =
-      let acc = ref 0 in
-      for p = 0 to procs - 1 do
-        acc := !acc + count ~pid:p
-      done;
-      !acc
-    in
-    ( total (fun ~pid -> Metrics.Recorder.reads recorder ~pid),
-      total (fun ~pid -> Metrics.Recorder.writes recorder ~pid),
+    ( Telemetry.Counters.total counters Telemetry.Event.Read,
+      Telemetry.Counters.total counters Telemetry.Event.Write,
       Array.fold_left ( + ) 0 replays )
 
   let rows ~bench ~procs ~ops_per_proc ~script =
@@ -1489,8 +1497,8 @@ let series_rows ~bench ~procs ~backend (s : Telemetry.Series.t) =
           | None -> []
           | Some st ->
               [
-                mk "w_latency_p50" (float_of_int st.Metrics.Stats.p50) "ns";
-                mk "w_latency_p99" (float_of_int st.Metrics.Stats.p99) "ns";
+                mk "w_latency_p50" (float_of_int st.Telemetry.Stats.p50) "ns";
+                mk "w_latency_p99" (float_of_int st.Telemetry.Stats.p99) "ns";
               ]);
           List.filter_map
             (fun e ->
@@ -1555,9 +1563,9 @@ let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
     | Some s ->
         [
           row ~bench ~procs ~backend:"native" ~metric:"latency_p99"
-            ~value:(float_of_int s.Metrics.Stats.p99) ~unit_:"ns";
+            ~value:(float_of_int s.Telemetry.Stats.p99) ~unit_:"ns";
           row ~bench ~procs ~backend:"native" ~metric:"latency_mean"
-            ~value:s.Metrics.Stats.mean ~unit_:"ns";
+            ~value:s.Telemetry.Stats.mean ~unit_:"ns";
         ]
   in
   throughput_rows ~bench ~procs ~total_ops:merged.Workload.Traffic.ops
@@ -1663,13 +1671,11 @@ let native_scan_variant_rows ~quick ~variant ~procs ~contended =
 (* Register footprint of the scan grid, measured through the
    [Runtime.Instrument] wrapper rather than asserted from the formula. *)
 let native_scan_footprint_rows ~procs =
-  let recorder = Metrics.Recorder.create ~procs in
-  let sink = Runtime.Sink.make ~metrics:recorder () in
   let module Inst =
     Runtime.Instrument
       (Pram.Native.Mem)
       (struct
-        let sink = sink
+        let sink = Runtime.Sink.none
       end)
   in
   let module Scan_inst =
@@ -1681,7 +1687,7 @@ let native_scan_footprint_rows ~procs =
   ignore (Scan_inst.scan h 1);
   [
     row ~bench:"scan_grid" ~procs ~backend:"native" ~metric:"registers"
-      ~value:(float_of_int (Metrics.Recorder.registers_created recorder))
+      ~value:(float_of_int (Inst.registers_created ()))
       ~unit_:"registers";
   ]
 

@@ -50,8 +50,9 @@ type 'r t = {
   mutable trace_rev : Trace.access list;
   record_trace : bool;
   observer : (Trace.access -> unit) option;
-      (* called once per fired access, in firing order; the metrics layer
-         plugs in here without the driver depending on it *)
+      (* called once per fired access, in firing order; the sink's
+         counter grid and journal plug in here without the driver
+         depending on them *)
 }
 
 exception Process_not_runnable of int

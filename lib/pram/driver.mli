@@ -43,7 +43,7 @@ exception Process_not_runnable of int
     real-time precedence between operations faithful.
 
     [observer] is called once per fired access, in firing order, with the
-    same record a trace would hold — the streaming hook the metrics layer
+    same record a trace would hold — the streaming hook [Runtime.Sink]
     attaches to without the cost of retaining a trace.  It must not
     perform shared-memory accesses of the simulated program. *)
 val create :

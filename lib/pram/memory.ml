@@ -121,43 +121,3 @@ module Stamped_slot (M : S) = struct
 
   let stamp s = match M.read s with Some (st, _) -> st | None -> 0
 end
-
-(* Hook interface for instrumentation wrappers.  Hooks receive the
-   wrapper-assigned register identity; ids are allocated atomically so the
-   wrapper is usable over the native domains backend. *)
-module type Hooks = sig
-  val on_create : reg_id:int -> reg_name:string -> unit
-  val on_read : reg_id:int -> reg_name:string -> unit
-  val on_write : reg_id:int -> reg_name:string -> unit
-end
-
-(* Wrap any backend with access hooks.  This is the generic "counters
-   behind a functor" mechanism: the unwrapped backends pay nothing, and an
-   instrumented instantiation is a separate module the caller opts into
-   (see Runtime.Instrument).  Hooks fire when the access completes at this
-   layer: after the underlying read returns and after the underlying write
-   is applied.  Under [Sim] that is invocation order, not firing order —
-   prefer the [Driver] observer for scheduled executions. *)
-module Hooked (M : S) (H : Hooks) : S = struct
-  type 'a reg = { r : 'a M.reg; id : int; name : string }
-
-  let next_id = Atomic.make 0
-
-  let create ?name init =
-    let id = 1 + Atomic.fetch_and_add next_id 1 in
-    let name =
-      match name with Some n -> n | None -> Printf.sprintf "h%d" id
-    in
-    let r = M.create ~name init in
-    H.on_create ~reg_id:id ~reg_name:name;
-    { r; id; name }
-
-  let read rg =
-    let v = M.read rg.r in
-    H.on_read ~reg_id:rg.id ~reg_name:rg.name;
-    v
-
-  let write rg v =
-    M.write rg.r v;
-    H.on_write ~reg_id:rg.id ~reg_name:rg.name
-end

@@ -106,20 +106,3 @@ module Stamped_slot (M : S) : sig
   val stamp : 'a slot -> int
   (** The slot's current stamp (0 when never posted) — one step. *)
 end
-
-(** Access hooks for instrumentation wrappers.  The identity passed to a
-    hook is assigned by the wrapper (atomically, so it is safe over the
-    native backend), not by the wrapped backend. *)
-module type Hooks = sig
-  val on_create : reg_id:int -> reg_name:string -> unit
-  val on_read : reg_id:int -> reg_name:string -> unit
-  val on_write : reg_id:int -> reg_name:string -> unit
-end
-
-(** [Hooked (M) (H)] is [M] with [H]'s hooks fired on every completed
-    access — the generic opt-in counter wrapper behind [Metrics].  The
-    unwrapped backends are untouched, so timing runs pay nothing unless
-    they instantiate this functor.  Under {!Sim} the hooks fire at
-    invocation (suspension) time rather than at scheduler firing time;
-    scheduled executions should use {!Driver}'s [observer] instead. *)
-module Hooked (M : S) (H : Hooks) : S

@@ -1,10 +1,10 @@
 (* Native multicore backend.
 
    Provides the same [Memory.S] interface as the simulator, implemented
-   with [Atomic] references, plus a [Counting] wrapper that tallies
-   accesses and a [spawn]/[join] helper for running one OCaml domain per
-   process.  This backend demonstrates that the algorithms are not
-   simulator artifacts and supplies the wall-clock Bechamel benches.
+   with [Atomic] references, seqlock-style [Versioned] registers, and a
+   [spawn]/[join] helper for running one OCaml domain per process.  This
+   backend demonstrates that the algorithms are not simulator artifacts
+   and supplies the wall-clock Bechamel benches.
 
    [Atomic.t] gives sequentially consistent single-cell reads and writes —
    exactly the atomic-register semantics of the asynchronous PRAM model.
@@ -27,20 +27,11 @@ module Mem : Memory.S with type 'a reg = 'a Atomic.t = struct
   let write = Atomic.set
 end
 
-(* Observation hook for registration CAS retries, shared by every
-   [Counting] instantiation.  This layer cannot see the telemetry
-   library (pram sits below it), so contention attribution is injected:
-   [Runtime.Backend.run] installs a closure that bumps the sink's
-   [registration_cas_retry] counter for the duration of a native run.
-   Only the CAS-failure slow path dereferences it; the uncontended
-   register never touches the ref. *)
-let on_registration_retry : (unit -> unit) ref = ref (fun () -> ())
-
-(* Observation hook for seqlock read retries in [Versioned], same
-   injection pattern as [on_registration_retry]: pram cannot see the
-   telemetry library, so [Runtime.Backend.run] points this at the
-   sink's [seqlock_retry] counter for the duration of a native run.
-   Only the stale-slot slow path dereferences it. *)
+(* Observation hook for seqlock read retries in [Versioned].  This
+   layer cannot see the telemetry library (pram sits below it), so
+   contention attribution is injected: [Runtime.Backend.run] points this
+   at the sink's [seqlock_retry] counter for the duration of a native
+   run.  Only the stale-slot slow path dereferences it. *)
 let on_seqlock_retry : (unit -> unit) ref = ref (fun () -> ())
 
 (* Seqlock-style versioned single-writer registers.
@@ -105,83 +96,6 @@ module Versioned : Memory.VERSIONED = struct
     let e = Atomic.get r.version + 1 in
     r.slot <- { v; e };
     Atomic.set r.version e
-end
-
-(* Wraps a backend with read/write counters.  The hot path bumps a
-   per-domain cell (domain-local storage, so increments are uncontended
-   and counting no longer perturbs the timing of the code it wraps);
-   [reads ()] / [writes ()] aggregate over every cell ever registered.
-   Cells use [Atomic] only for cross-domain visibility at aggregation
-   time — each is written by exactly one domain. *)
-module Counting (M : Memory.S) : sig
-  include Memory.S
-
-  val reset : unit -> unit
-  val reads : unit -> int
-  val writes : unit -> int
-end = struct
-  type 'a reg = 'a M.reg
-
-  type cell = {
-    c_reads : int Atomic.t;
-    c_writes : int Atomic.t;
-  }
-
-  (* All cells ever handed out, CAS-appended on each domain's first
-     access.  A cell outlives its domain, so counts from joined domains
-     stay in the totals.  The CAS loop backs off with [Domain.cpu_relax]
-     so that a registration stampede (every domain registers on its
-     first wrapped access, i.e. all at once right after spawn) yields
-     the core to the winner instead of hammering the line. *)
-  let registry : cell list Atomic.t = Padding.padded_atomic []
-
-  let rec register c =
-    let old = Atomic.get registry in
-    if not (Atomic.compare_and_set registry old (c :: old)) then begin
-      !on_registration_retry ();
-      Domain.cpu_relax ();
-      register c
-    end
-
-  (* Each counter on its own cache line: cells from different domains are
-     allocated close together, and an unpadded neighbour pair would put
-     two "uncontended" hot counters on one line — exactly the false
-     sharing the per-domain design is meant to avoid. *)
-  let cell_key =
-    Domain.DLS.new_key (fun () ->
-        let c =
-          {
-            c_reads = Padding.padded_atomic 0;
-            c_writes = Padding.padded_atomic 0;
-          }
-        in
-        register c;
-        c)
-
-  let create ?name init = M.create ?name init
-
-  let read r =
-    Atomic.incr (Domain.DLS.get cell_key).c_reads;
-    M.read r
-
-  let write r v =
-    Atomic.incr (Domain.DLS.get cell_key).c_writes;
-    M.write r v
-
-  let reset () =
-    List.iter
-      (fun c ->
-        Atomic.set c.c_reads 0;
-        Atomic.set c.c_writes 0)
-      (Atomic.get registry)
-
-  let sum field =
-    List.fold_left
-      (fun acc c -> acc + Atomic.get (field c))
-      0 (Atomic.get registry)
-
-  let reads () = sum (fun c -> c.c_reads)
-  let writes () = sum (fun c -> c.c_writes)
 end
 
 (* Run [body p] for p = 0..procs-1, each in its own domain, and return the

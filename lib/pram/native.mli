@@ -13,15 +13,6 @@
     false-share lines across domains. *)
 module Mem : Memory.S with type 'a reg = 'a Atomic.t
 
-(** Called once per failed registration CAS in any {!Counting}
-    instantiation, just before the [cpu_relax] back-off.  Defaults to a
-    no-op; [Runtime.Backend.run] points it at the telemetry sink's
-    [registration_cas_retry] counter for the duration of a native run
-    (this layer sits below the telemetry library, so attribution is
-    injected rather than imported).  Only the CAS-failure slow path
-    dereferences it. *)
-val on_registration_retry : (unit -> unit) ref
-
 (** Called once per torn-epoch retry in a {!Versioned} read, just before
     the [cpu_relax] back-off.  Defaults to a no-op; [Runtime.Backend.run]
     points it at the telemetry sink's [seqlock_retry] counter for the
@@ -43,24 +34,6 @@ val on_seqlock_retry : (unit -> unit) ref
     last publish), which is the discipline of every register in the
     Section 6 snapshot stack. *)
 module Versioned : Memory.VERSIONED
-
-(** Wrap any backend with read/write counters for cost accounting under
-    domains.  Each domain increments its own domain-local cell
-    (uncontended and cache-line padded, so counting does not perturb
-    the timing of the wrapped accesses); [reads ()] / [writes ()]
-    aggregate across all domains that ever touched this instance,
-    including ones already joined.  Registration of a new domain's cell
-    is a CAS loop with [Domain.cpu_relax] back-off. *)
-module Counting (M : Memory.S) : sig
-  include Memory.S
-
-  (** Zero every per-domain cell.  Call only while wrapped accesses are
-      quiescent (concurrent increments may land on either side). *)
-  val reset : unit -> unit
-
-  val reads : unit -> int
-  val writes : unit -> int
-end
 
 (** [run_parallel ~procs body] runs [body p] for [p = 0..procs-1], each in
     its own domain, returning results in pid order. *)

@@ -5,7 +5,7 @@
     contention (false sharing).  [Atomic.make_contended] solves this
     from OCaml 5.2 onward; this module provides the same remedy on the
     5.1 runtime this library also supports.  Used by {!Native} for its
-    registers and access-counting cells. *)
+    registers (and by the telemetry counter grid). *)
 
 (** Padded block size in words (16 = 128 bytes on 64-bit: an x86 cache
     line plus its adjacent-line prefetcher pair). *)

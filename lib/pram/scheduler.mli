@@ -18,8 +18,8 @@ type 'r t = 'r Driver.t -> action
     Every action — [Step] {e and} [Crash] — consumes one unit of budget,
     so a scheduler stuck re-crashing a dead process fails loudly instead
     of spinning.  [on_action] observes each decision just before it is
-    applied (the metrics layer uses it to attribute scheduler decisions,
-    e.g. crash counts, without wrapping the policy).
+    applied (so a harness can attribute scheduler decisions, e.g. crash
+    counts, without wrapping the policy).
     @raise Failure if the budget is exhausted. *)
 val run :
   ?max_steps:int -> ?on_action:(action -> unit) -> 'r t -> 'r Driver.t -> unit

@@ -1,16 +1,12 @@
 (* The per-process execution context (see runtime.mli for the design).
 
-   Before this module existed, each cross-cutting concern had its own
-   plumbing: [pid] threaded through every call, [?journal] optionals on
-   every traced operation, metrics via separately instantiated wrappers,
-   and per-pid RNG memoized in [Workload].  [Ctx] bundles them once per
-   process; algorithms mint a handle from it at session start and the
-   per-call surface carries no cross-cutting arguments at all. *)
+   [Ctx] bundles pid, procs, the observer sink and a lazy deterministic
+   RNG once per process; algorithms mint a handle from it at session
+   start and the per-call surface carries no cross-cutting arguments. *)
 
-(* One domain-local pid for every instrumentation consumer.  Metrics and
-   Tracing used to keep parallel copies of this key; with both feeds
-   behind [Sink] a single key suffices — and a single [set_pid] at the
-   top of a domain body attributes both. *)
+(* One domain-local pid for every instrumentation consumer: a single
+   [set_pid] at the top of a domain body attributes both the counter
+   grid and the journal. *)
 let pid_key = Domain.DLS.new_key (fun () -> 0)
 let set_pid p = Domain.DLS.set pid_key p
 let current_pid () = Domain.DLS.get pid_key
@@ -25,70 +21,74 @@ end
 
 module Sink = struct
   type t = {
-    metrics : Metrics.Recorder.t option;
     journal : Tracing.Journal.t option;
     telemetry : Telemetry.Counters.t option;
   }
 
-  let none = { metrics = None; journal = None; telemetry = None }
-  let make ?metrics ?journal ?telemetry () = { metrics; journal; telemetry }
-
-  let is_none t =
-    match (t.metrics, t.journal, t.telemetry) with
-    | None, None, None -> true
-    | _ -> false
-
-  let metrics t = t.metrics
+  let none = { journal = None; telemetry = None }
+  let make ?journal ?telemetry () = { journal; telemetry }
   let journal t = t.journal
   let telemetry t = t.telemetry
 
-  let observer t =
-    match (t.metrics, t.journal) with
-    | None, None -> None
-    | Some r, None -> Some (Metrics.Recorder.observer r)
-    | None, Some j -> Some (Tracing.Journal.observer j)
-    | Some r, Some j ->
-        Some
-          (fun a ->
-            Metrics.Recorder.observer r a;
-            Tracing.Journal.observer j a)
-
-  let record_create t ~reg_id ~reg_name =
-    match t.metrics with
-    | None -> ()
-    | Some r -> Metrics.Recorder.record_create r ~reg_id ~reg_name
-
+  (* The one access feed: a count in the pid's grid row (family 0) and,
+     with a journal attached, an [Access] event. *)
   let record_access t ~pid ~kind ~reg_id ~reg_name =
-    (match t.metrics with
+    (match t.telemetry with
     | None -> ()
-    | Some r -> (
-        match (kind : Pram.Trace.kind) with
-        | Pram.Trace.Read ->
-            Metrics.Recorder.record_read ~reg_id ~reg_name r ~pid
-        | Pram.Trace.Write ->
-            Metrics.Recorder.record_write ~reg_id ~reg_name r ~pid));
+    | Some c ->
+        Telemetry.Counters.record c ~pid ~family:0
+          (match (kind : Pram.Trace.kind) with
+          | Pram.Trace.Read -> Telemetry.Event.Read
+          | Pram.Trace.Write -> Telemetry.Event.Write));
     match t.journal with
     | None -> ()
     | Some j -> Tracing.Journal.access j ~pid ~kind ~reg_id ~reg_name
+
+  let observer t =
+    match (t.journal, t.telemetry) with
+    | None, None -> None
+    | _ ->
+        Some
+          (fun (a : Pram.Trace.access) ->
+            record_access t ~pid:a.pid ~kind:a.kind ~reg_id:a.reg_id
+              ~reg_name:a.reg_name)
 end
 
+(* Accesses are fed when they complete at this layer: after the
+   underlying read returns and after the underlying write is applied.
+   Ids are allocated atomically so the wrapper is usable over native
+   domains; the id counter doubles as the register footprint. *)
 module Instrument (M : Pram.Memory.S) (S : sig
   val sink : Sink.t
 end) =
-  Pram.Memory.Hooked
-    (M)
-    (struct
-      let on_create ~reg_id ~reg_name =
-        Sink.record_create S.sink ~reg_id ~reg_name
+struct
+  type 'a reg = {
+    r : 'a M.reg;
+    id : int;
+    name : string;
+  }
 
-      let on_read ~reg_id ~reg_name =
-        Sink.record_access S.sink ~pid:(current_pid ())
-          ~kind:Pram.Trace.Read ~reg_id ~reg_name
+  let next_id = Atomic.make 0
+  let registers_created () = Atomic.get next_id
 
-      let on_write ~reg_id ~reg_name =
-        Sink.record_access S.sink ~pid:(current_pid ())
-          ~kind:Pram.Trace.Write ~reg_id ~reg_name
-    end)
+  let create ?name init =
+    let id = 1 + Atomic.fetch_and_add next_id 1 in
+    let name =
+      match name with Some n -> n | None -> Printf.sprintf "h%d" id
+    in
+    { r = M.create ~name init; id; name }
+
+  let read rg =
+    let v = M.read rg.r in
+    Sink.record_access S.sink ~pid:(current_pid ()) ~kind:Pram.Trace.Read
+      ~reg_id:rg.id ~reg_name:rg.name;
+    v
+
+  let write rg v =
+    M.write rg.r v;
+    Sink.record_access S.sink ~pid:(current_pid ()) ~kind:Pram.Trace.Write
+      ~reg_id:rg.id ~reg_name:rg.name
+end
 
 module Ctx = struct
   type t = {
@@ -113,9 +113,7 @@ module Ctx = struct
   let pid t = t.pid
   let procs t = t.procs
   let sink t = t.sink
-  let seed t = t.seed
   let journal t = t.sink.Sink.journal
-  let metrics t = t.sink.Sink.metrics
   let telemetry t = t.sink.Sink.telemetry
 
   let rng t =
@@ -126,33 +124,14 @@ module Ctx = struct
         t.rng <- Some st;
         st
 
-  let sibling t ~pid =
-    if pid < 0 || pid >= t.procs then
-      invalid_arg
-        (Printf.sprintf "Runtime.Ctx.sibling: pid %d out of range 0..%d" pid
-           (t.procs - 1));
-    { t with pid; rng = None }
-
-  let family ?sink ?seed ~procs () =
-    let p0 = make ?sink ?seed ~procs ~pid:0 () in
-    Array.init procs (fun pid -> if pid = 0 then p0 else sibling p0 ~pid)
-
-  (* Instrumentation helpers.  The no-sink path of each is one or two
-     pattern matches and nothing else — no closure beyond what the
-     caller already built, no access, no allocation. *)
+  (* Instrumentation helpers.  The no-journal path of each is one
+     pattern match and nothing else — no closure beyond what the caller
+     already built, no access, no allocation. *)
 
   let span t ~op f =
-    match (t.sink.Sink.journal, t.sink.Sink.metrics) with
-    | None, None -> f ()
-    | j, m -> (
-        let inner () =
-          match m with
-          | None -> f ()
-          | Some r -> Metrics.Recorder.with_span r ~pid:t.pid ~op f
-        in
-        match j with
-        | None -> inner ()
-        | Some jj -> Tracing.Journal.with_span jj ~pid:t.pid ~op inner)
+    match t.sink.Sink.journal with
+    | None -> f ()
+    | Some j -> Tracing.Journal.with_span j ~pid:t.pid ~op f
 
   let annotate t note =
     match t.sink.Sink.journal with
@@ -164,38 +143,26 @@ module Ctx = struct
     | None -> Printf.ikfprintf (fun () -> ()) () fmt
     | Some j ->
         Printf.ksprintf (fun s -> Tracing.Journal.annotate j ~pid:t.pid s) fmt
-
-  (* Reversed application, so multi-object session setup reads
-     context-first:
-       let counters = Ctx.attach ctx (Store.attach store) in ... *)
-  let attach t mint = mint t
 end
 
-(* Point the pram-layer observation hooks at a sink's telemetry
+(* Point the pram-layer observation hook at a sink's telemetry
    counters.  [Pram.Native] sits below the telemetry library, so it
-   exposes mutable no-op hooks instead of importing it; this is the one
-   place that closes the loop.  Registration retries are attributed to
-   the calling domain's pid (family 0 — the registry is a single global
-   object).  With no telemetry half the hooks are reset to no-ops. *)
+   exposes a mutable no-op hook instead of importing it; this is the one
+   place that closes the loop.  With no telemetry half the hook is reset
+   to a no-op. *)
 let install_native_hooks (sink : Sink.t) =
   match sink.Sink.telemetry with
-  | None ->
-      Pram.Native.on_registration_retry := (fun () -> ());
-      Pram.Native.on_seqlock_retry := fun () -> ()
+  | None -> Pram.Native.on_seqlock_retry := fun () -> ()
   | Some c ->
       let procs = Telemetry.Counters.procs c in
-      let attribute event () =
-        let pid = current_pid () in
-        if pid >= 0 && pid < procs then
-          Telemetry.Counters.record c ~pid ~family:0 event
-      in
-      Pram.Native.on_registration_retry :=
-        attribute Telemetry.Event.Registration_cas_retry;
-      Pram.Native.on_seqlock_retry := attribute Telemetry.Event.Seqlock_retry
+      Pram.Native.on_seqlock_retry :=
+        fun () ->
+          let pid = current_pid () in
+          if pid >= 0 && pid < procs then
+            Telemetry.Counters.record c ~pid ~family:0
+              Telemetry.Event.Seqlock_retry
 
-let uninstall_native_hooks () =
-  Pram.Native.on_registration_retry := (fun () -> ());
-  Pram.Native.on_seqlock_retry := fun () -> ()
+let uninstall_native_hooks () = Pram.Native.on_seqlock_retry := fun () -> ()
 
 module Backend = struct
   type kind =
@@ -219,26 +186,17 @@ module Backend = struct
     | Direct -> (module Pram.Memory.Direct)
     | Native -> (module Pram.Native.Mem)
 
-  let instrumented kind (sink : Sink.t) : (module Pram.Memory.S) =
-    match kind with
-    | Sim ->
-        (* The simulator's canonical instrumentation is the driver
-           observer (attribution by firing schedule); wrapping the
-           backend would attribute at invocation time instead, and
-           fibers share one domain so [set_pid] cannot track them. *)
-        (module Pram.Memory.Sim)
-    | Direct ->
-        (module Instrument
-                  (Pram.Memory.Direct)
-                  (struct
-                    let sink = sink
-                  end))
-    | Native ->
-        (module Instrument
-                  (Pram.Native.Mem)
-                  (struct
-                    let sink = sink
-                  end))
+  (* Direct and native memory carry the sink through the one wrapper;
+     the simulator's feed is the driver observer instead, which
+     attributes by firing schedule (fibers share one domain, so
+     [set_pid] could not track them). *)
+  let instrumented kind sink : (module Pram.Memory.S) =
+    let (module M) = memory kind in
+    (module Instrument
+              (M)
+              (struct
+                let sink = sink
+              end))
 
   type 'r outcome = {
     results : 'r option array;

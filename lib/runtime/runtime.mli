@@ -2,12 +2,9 @@
     observability, and randomness.
 
     The asynchronous PRAM model is "a process with an identity executing
-    against a memory".  Before this module, that identity and its
-    cross-cutting companions were threaded by hand through every layer:
-    [pid:int] on each call, [?journal] optionals per traced operation,
-    metrics via separately instantiated wrapper functors, per-pid RNG
-    memoized in [Workload].  {!Ctx} bundles them: construct one context
-    per process at session start, mint an algorithm {e handle} from it
+    against a memory".  {!Ctx} bundles that identity with its
+    cross-cutting companions: construct one context per process at
+    session start, mint an algorithm {e handle} from it
     ([X.attach obj ctx]), and every subsequent operation call carries no
     cross-cutting arguments.
 
@@ -17,12 +14,12 @@
       accesses and allocates nothing on any instrumentation path (the
       Gc-measured test in [test_tracing] pins this down).
     - {b One pid authority}: a single domain-local {!set_pid} serves
-      every instrumentation consumer — the parallel copies that Metrics
-      and Tracing each kept are gone.
-    - {b One observer feed}: {!Sink} fans a single access stream out to
-      the metrics recorder and the tracing journal, whether the stream
-      originates from the simulator driver ({!Sink.observer}) or from a
-      wrapped backend ({!Instrument}). *)
+      every instrumentation consumer.
+    - {b One instrumentation path}: {!Sink} feeds a single access stream
+      to its two consumers — the telemetry counter grid (every count)
+      and the tracing journal (the one ordered record) — whether the
+      stream originates from the simulator driver ({!Sink.observer}) or
+      from the one memory wrapper ({!Instrument}). *)
 
 (** {1 Pid attribution} *)
 
@@ -46,13 +43,13 @@ module Rng : sig
   val state : seed:int -> pid:int -> Random.State.t
 end
 
-(** {1 The unified observer sink} *)
+(** {1 The observer sink} *)
 
-(** A fan-out point for the shared-memory access stream: zero, one, or
-    both of a metrics recorder and a tracing journal.  One sink value
-    replaces the four instrumentation attachment points that previously
-    coexisted ([Memory.Hooks] wrappers, [Native.Counting], the driver
-    [?observer], and the Tracing [Instrument] feed). *)
+(** The two consumers of the shared-memory access stream: a telemetry
+    counter grid and a tracing journal, each optional.  Reads and writes
+    land in the grid as {!Telemetry.Event.Read} / [Write] at family 0 of
+    the acting pid's row; with a journal attached each access is also
+    journalled as an [Access] event. *)
 module Sink : sig
   type t
 
@@ -60,48 +57,37 @@ module Sink : sig
   val none : t
 
   val make :
-    ?metrics:Metrics.Recorder.t ->
-    ?journal:Tracing.Journal.t ->
-    ?telemetry:Telemetry.Counters.t ->
-    unit ->
-    t
+    ?journal:Tracing.Journal.t -> ?telemetry:Telemetry.Counters.t -> unit -> t
 
-  val is_none : t -> bool
-  val metrics : t -> Metrics.Recorder.t option
   val journal : t -> Tracing.Journal.t option
 
-  (** The contention-counter grid carried alongside the access stream:
-      instrumented algorithms cache it at attach time and bump event
+  (** The counter grid: reads and writes are counted here, and
+      instrumented algorithms cache it at attach time to bump event
       cells ([double_collect_restart], [store_batch_fallback], ...)
       through the free {!Telemetry.record_opt} guard. *)
   val telemetry : t -> Telemetry.Counters.t option
 
   (** The streaming hook for [Pram.Driver.create ?observer]: [None] when
       the sink is empty (so an observer-less driver stays on its free
-      path), otherwise one callback feeding every attached consumer. *)
+      path), otherwise one callback feeding both consumers. *)
   val observer : t -> (Pram.Trace.access -> unit) option
-
-  (** Raw feeds, used by {!Instrument}; attribution is the caller's. *)
-  val record_create : t -> reg_id:int -> reg_name:string -> unit
-
-  val record_access :
-    t ->
-    pid:int ->
-    kind:Pram.Trace.kind ->
-    reg_id:int ->
-    reg_name:string ->
-    unit
 end
 
 (** [Instrument (M) (S)] is backend [M] with every completed access fed
-    to [S.sink], attributed to the calling domain's {!set_pid} — the
-    single replacement for the old [Metrics.Instrument] and
-    [Tracing.Instrument] pair.  Use it over [Direct] or [Native.Mem];
-    under [Memory.Sim] prefer the driver observer (hooks fire at
-    invocation, not firing, time). *)
+    to [S.sink], attributed to the calling domain's {!set_pid} — the one
+    memory wrapper.  Use it over [Direct] or [Native.Mem]; under
+    [Memory.Sim] use the driver observer instead (a wrapper sees an
+    access at invocation, not firing, time).  Registers are numbered by
+    the wrapper, atomically, so it is safe over native domains. *)
 module Instrument (M : Pram.Memory.S) (S : sig
   val sink : Sink.t
-end) : Pram.Memory.S
+end) : sig
+  include Pram.Memory.S
+
+  (** Registers created through this instantiation so far — the
+      register footprint of whatever was built over it. *)
+  val registers_created : unit -> int
+end
 
 (** {1 The per-process context} *)
 
@@ -119,15 +105,12 @@ module Ctx : sig
   val pid : t -> int
   val procs : t -> int
   val sink : t -> Sink.t
-  val seed : t -> int
 
-  (** The journal / recorder attached to this context's sink, if any.
-      Handles cache these at attach time so per-access hot loops can
-      guard with a single [match] (the allocation-free discipline from
-      the tracing layer carries over unchanged). *)
+  (** The journal / counter grid attached to this context's sink, if
+      any.  Handles cache these at attach time so per-access hot loops
+      can guard with a single allocation-free [match]. *)
   val journal : t -> Tracing.Journal.t option
 
-  val metrics : t -> Metrics.Recorder.t option
   val telemetry : t -> Telemetry.Counters.t option
 
   (** This process's deterministic random state: {!Rng.state} on
@@ -135,23 +118,14 @@ module Ctx : sig
       draw randomness allocate no state. *)
   val rng : t -> Random.State.t
 
-  (** [sibling t ~pid] is [t]'s configuration (sink, seed, procs) for
-      another process — fresh RNG, same shared sink.
-      @raise Invalid_argument if [pid] is out of range. *)
-  val sibling : t -> pid:int -> t
-
-  (** [family ~procs ()] is one context per pid, sharing one sink and
-      seed — the common "all processes of one session" constructor. *)
-  val family : ?sink:Sink.t -> ?seed:int -> procs:int -> unit -> t array
-
   (** {2 Instrumentation helpers}
 
-      Each is free when the relevant sink half is absent: the [None]
-      path is a pattern match, with no access and no allocation. *)
+      Each is free without a journal: the [None] path is a pattern
+      match, with no access and no allocation. *)
 
   (** [span t ~op f] brackets [f ()] as operation [op] in the journal
-      (Invoke/Response events) {e and} files its access count into the
-      metrics span histogram, whichever of the two is attached. *)
+      (Invoke/Response events); per-span access counts are derived from
+      the journal afterwards ({!Tracing.span_stats}). *)
   val span : t -> op:string -> (unit -> 'a) -> 'a
 
   (** Free-form journal mark (e.g. ["round 3"]); no-op without a
@@ -164,25 +138,18 @@ module Ctx : sig
       an explicit [match] on {!journal} instead (see [Snapshot.Scan]'s
       pass loop). *)
   val annotatef : t -> ('a, unit, string, unit) format4 -> 'a
-
-  (** [attach t mint] is [mint t] — reversed application, so that
-      sessions attaching a process to several objects read
-      context-first: [Ctx.attach ctx (Store.attach store)].  Partial
-      applications of any algorithm's [attach obj] (optional arguments
-      included) fit the [mint] slot directly. *)
-  val attach : t -> (t -> 'h) -> 'h
 end
 
 (** {1 Native observation hooks} *)
 
-(** Point [Pram.Native]'s observation hooks ([on_registration_retry]
-    and [on_seqlock_retry]) at [sink]'s telemetry counters, attributing
-    each event to the calling domain's {!current_pid} at family 0.
+(** Point [Pram.Native]'s observation hook ([on_seqlock_retry]) at
+    [sink]'s telemetry counters, attributing each event to the calling
+    domain's {!current_pid} at family 0.
     [Pram] sits below the telemetry library, so the wiring is injected
     here rather than imported there.  {!Backend.run} installs/uninstalls
     around every [Native] run; call it directly only when driving
     [Pram.Native.run_parallel] by hand.  A sink without a telemetry half
-    resets the hooks to no-ops. *)
+    resets the hook to a no-op. *)
 val install_native_hooks : Sink.t -> unit
 
 val uninstall_native_hooks : unit -> unit
@@ -206,12 +173,6 @@ module Backend : sig
 
   (** The uninstrumented memory module for a backend. *)
   val memory : kind -> (module Pram.Memory.S)
-
-  (** The backend's canonical instrumented variant for a given sink:
-      [Direct]/[Native] wrap the memory in {!Instrument}; [Sim] returns
-      the raw module because its canonical instrumentation is the driver
-      observer ({!Sink.observer}), which attributes by firing schedule. *)
-  val instrumented : kind -> Sink.t -> (module Pram.Memory.S)
 
   (** The result of one multi-process run: per-pid results ([None] for a
       process that was crashed or never ran to completion) and, on the

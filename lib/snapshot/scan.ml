@@ -160,10 +160,9 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     ctx : Runtime.Ctx.t;
     journal : Tracing.Journal.t option;
         (* cached from [ctx] at attach time so the per-pass hot loop can
-           guard on it with a single allocation-free match *)
-    quiet : bool;
-        (* no journal and no metrics: [scan] skips the span bracket
-           entirely, so the unobserved path never builds a closure *)
+           guard on it with a single allocation-free match, and [scan]
+           skips the span bracket without one — the unobserved path
+           never builds a closure *)
     tel : Telemetry.Counters.t option;
         (* cached (and range-checked) at attach: escalations bump
            [Scan_escalation] through the free [record_opt] guard *)
@@ -192,8 +191,6 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
       pid;
       ctx;
       journal = Runtime.Ctx.journal ctx;
-      quiet =
-        Runtime.Ctx.journal ctx = None && Runtime.Ctx.metrics ctx = None;
       tel;
       eps = Array.make obj.procs 0;
       escs = Array.make obj.procs 0;
@@ -486,9 +483,10 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     | Lattice -> scan_lattice h v
 
   let scan ?(variant = Optimized) h v =
-    if h.quiet then scan_variant h v variant
-    else
-      Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v variant)
+    match h.journal with
+    | None -> scan_variant h v variant
+    | Some _ ->
+        Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v variant)
 
   (* The two operations of the atomic scan object (Section 6): Write_L
      discards the scan's return value; ReadMax contributes bottom.
@@ -498,9 +496,10 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
      classifier descent. *)
   let write_l ?(variant = Optimized) h v =
     match variant with
-    | Adaptive | Lattice ->
-        if h.quiet then publish h v
-        else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> publish h v)
+    | Adaptive | Lattice -> (
+        match h.journal with
+        | None -> publish h v
+        | Some _ -> Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> publish h v))
     | (Plain | Optimized) as variant -> ignore (scan ~variant h v)
 
   let read_max ?variant h = scan ?variant h L.bottom

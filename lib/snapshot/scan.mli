@@ -67,9 +67,8 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) : sig
 
   (** [attach t ctx] mints the handle process [Ctx.pid ctx] uses for
       every operation on [t].  If the context carries a journal, each
-      scan is bracketed as a ["scan"] span with one annotation per pass
-      (and filed in the metrics span histogram when a recorder is
-      attached); a sink-less context costs nothing — dispatch happens
+      scan is bracketed as a ["scan"] span with one annotation per pass;
+      a sink-less context costs nothing — dispatch happens
       before any span closure is built, so the unobserved adaptive fast
       path allocates nothing at all.  Escalations are reported to the
       context's telemetry counters as [Scan_escalation] at family 0,

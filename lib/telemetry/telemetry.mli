@@ -1,18 +1,22 @@
-(** Windowed telemetry: contention counters and a time-series sampler.
+(** Windowed telemetry: the counter grid, a time-series sampler, and
+    exporters.
 
-    The paper's cost model is end-of-run access totals, and {!Metrics}
-    reports exactly those.  Production systems are diagnosed from the
-    {e other} axis: what happened {e per time window}, and {e why} —
-    a throughput collapse mid-run, one hot shard, a CAS retry storm.
-    This module supplies that axis in three pieces:
+    This library holds every count the repo keeps.  The paper prices
+    each construction in shared-register reads and writes per process;
+    production systems are diagnosed from the {e other} axis: what
+    happened {e per time window}, and {e why} — a throughput collapse
+    mid-run, one hot shard, a retry storm.  Both live on one grid:
 
     - {!Counters}: per-(pid, family) cache-line-padded event counters
-      for a fixed vocabulary of {e mechanical causes} ({!Event}) —
-      double-collect restarts, registration CAS retries, store batch
-      fallbacks, store rebuilds, shard queue depth.  A family is the
-      object-level attribution axis (shard index for the store,
-      register family otherwise); each pid increments only its own
-      cells, so recording is uncontended.
+      over a closed vocabulary ({!Event}) — register reads and writes
+      (the paper's cost unit, fed by [Runtime.Sink]) and the mechanical
+      causes of contention: double-collect restarts, seqlock retries,
+      scan escalations, store batch fallbacks, store rebuilds, shard
+      queue depth.  A family is the object-level attribution axis
+      (shard index for the store, register family otherwise); each pid
+      increments only its own cells, so recording is uncontended.
+    - {!Stats} / {!Histogram}: exact nearest-rank summaries of integer
+      samples (latencies, per-span access counts).
     - {!Sampler}: snapshots counter totals and a latency reservoir on a
       clock interval into a ring of fixed-width {!Window}s, giving
       per-window ops/sec, p50/p99 latency, and per-event deltas.
@@ -20,24 +24,67 @@
       windowed [series] rows of the bench JSON pipeline (emitted by
       [Experiments.Bench_json]).
 
-    Everything follows the repo's off-by-default discipline: telemetry
-    rides in [Runtime.Sink] next to the metrics recorder and the tracing
-    journal, handles cache the [Counters.t option] at attach time, and
-    the [None] guard ({!record_opt}) is a single pattern match — zero
-    accesses, zero allocation (pinned by the Gc-measured test in
-    [test_tracing]). *)
+    Everything follows the repo's off-by-default discipline: the grid
+    rides in [Runtime.Sink] next to the tracing journal, handles cache
+    the [Counters.t option] at attach time, and the [None] guard
+    ({!record_opt}) is a single pattern match — zero accesses, zero
+    allocation (pinned by the Gc-measured test in [test_tracing]). *)
 
-(** The named event classes — the mechanical causes a p99 regression is
-    attributed to.  The vocabulary is closed on purpose: exporters,
-    validators and the [top] renderer all enumerate {!all}. *)
+(** Summary statistics of an integer sample.
+
+    Percentile convention: {b nearest-rank}.  For a sample of [count]
+    observations sorted ascending, the p99 is the value at 1-based rank
+    [max 1 (ceil (0.99 * count))] — no interpolation.  Consequences
+    worth knowing when reading reports: stats are only defined on
+    non-empty samples ({!Histogram.stats} returns [None] when empty); on
+    a singleton the p99, min, max and mean all equal the one
+    observation; and for any [count < 100] the rank rounds up to
+    [count], so the p99 equals the max. *)
+module Stats : sig
+  type t = {
+    count : int;
+    min : int;
+    max : int;
+    mean : float;
+    p50 : int;  (** value at rank [max 1 (ceil 0.50*count)] (nearest-rank) *)
+    p99 : int;  (** value at rank [max 1 (ceil 0.99*count)] (nearest-rank) *)
+  }
+
+  val pp : Format.formatter -> t -> unit
+end
+
+(** A growable sample of non-negative integer observations (latencies,
+    per-span access counts).  Not thread-safe on its own. *)
+module Histogram : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> int -> unit
+  val count : t -> int
+
+  (** [merge hs] is a fresh histogram holding every observation of
+      every [h] in [hs] — exact pooling, so the merged quantiles are
+      those of the pooled sample. *)
+  val merge : t list -> t
+
+  (** [None] when empty. *)
+  val stats : t -> Stats.t option
+end
+
+(** The named event classes: register reads and writes, and the
+    mechanical causes a p99 regression is attributed to.  The vocabulary
+    is closed on purpose: exporters, validators and the [top] renderer
+    all enumerate {!all}. *)
 module Event : sig
   type t =
+    | Read
+        (** one completed shared-register read — a step of the paper's
+            cost model, fed by [Runtime.Sink] (driver observer on the
+            simulator, [Runtime.Instrument] elsewhere) at family 0 *)
+    | Write  (** one completed shared-register write, fed likewise *)
     | Double_collect_restart
         (** a double-collect pass observed a changed tag and retried
             (the lock-free baseline's unbounded loop) *)
-    | Registration_cas_retry
-        (** a failed CAS in [Pram.Native]'s counter-cell registration
-            (the [cpu_relax] back-off loop) *)
     | Store_batch_fallback
         (** a store chunk was closed early because the next operation
             broke the commute/read-only check (Property 1 fallback) *)
@@ -129,7 +176,7 @@ module Window : sig
     t_start : float;  (** seconds since sampler creation *)
     t_end : float;  (** [t_start +. interval], strictly increasing *)
     ops : int;  (** operations observed in this window *)
-    latency : Metrics.Stats.t option;
+    latency : Stats.t option;
         (** per-operation latency (ns) observed in this window; [None]
             when the window saw no operations *)
     deltas : int array;

@@ -116,28 +116,6 @@ module Journal = struct
     Mutex.unlock t.lock
 end
 
-(* Optional-journal helpers: algorithms take [?journal] and call these,
-   so the untraced ([None]) path is a match and nothing else. *)
-let annotate_opt j ~pid note =
-  match j with None -> () | Some j -> Journal.annotate j ~pid note
-
-(* Formatted annotation that does not render the message on the [None]
-   path.  ikfprintf still builds per-argument closures, so per-access
-   hot loops should guard with an explicit match instead (see
-   Snapshot.Scan's pass loop); everywhere else this is convenient and
-   near-free. *)
-let annotatef_opt j ~pid fmt =
-  match j with
-  | None -> Printf.ikfprintf (fun () -> ()) () fmt
-  | Some j -> Printf.ksprintf (fun s -> Journal.annotate j ~pid s) fmt
-
-let span_opt j ~pid ~op f =
-  match j with None -> f () | Some j -> Journal.with_span j ~pid ~op f
-
-(* Pid attribution for native domains lives in [Runtime] (one
-   [Domain.DLS] slot shared with metrics); [Runtime.Instrument] wraps a
-   backend and feeds this journal through a [Runtime.Sink]. *)
-
 (* --- archives --------------------------------------------------------------- *)
 
 type archive = {
@@ -154,6 +132,30 @@ let archive ?(schedule = []) j =
     a_schedule = schedule;
     a_events = Journal.events j;
   }
+
+(* Per pid, a running access count and a stack of open spans (label,
+   count at invoke); a response pops its span and, for [op], files the
+   difference.  Spans are per process, so other pids' accesses never
+   land in them, and nesting needs no special case. *)
+let span_stats a ~op =
+  let h = Telemetry.Histogram.create () in
+  let accesses = Array.make a.a_procs 0 in
+  let open_spans = Array.make a.a_procs [] in
+  List.iter
+    (fun e ->
+      let p = e.pid in
+      match e.ev with
+      | Access _ -> accesses.(p) <- accesses.(p) + 1
+      | Invoke l -> open_spans.(p) <- (l, accesses.(p)) :: open_spans.(p)
+      | Response l -> (
+          match open_spans.(p) with
+          | (l', start) :: rest when l' = l ->
+              open_spans.(p) <- rest;
+              if l = op then Telemetry.Histogram.add h (accesses.(p) - start)
+          | _ -> ())
+      | Annotate _ | Crash -> ())
+    a.a_events;
+  Telemetry.Histogram.stats h
 
 (* --- renderer 1: per-pid ASCII timeline ------------------------------------- *)
 

@@ -1,10 +1,12 @@
 (** Structured execution tracing: a causal event journal over the
     shared-memory access stream.
 
-    {!Metrics} answers "how many accesses" in aggregate; this module
-    answers "which accesses, in what order, belonging to which
-    operation" for {e one} execution.  A {!Journal} records a totally
-    ordered sequence of events — atomic accesses (fed from
+    [Telemetry]'s counter grid answers "how many accesses" in aggregate;
+    this module answers "which accesses, in what order, belonging to
+    which operation" for {e one} execution — and it is the one ordered
+    record, so everything derived from order (per-span access counts,
+    the registers a run touched) is computed from it.  A {!Journal}
+    records a totally ordered sequence of events — atomic accesses (fed from
     {!Pram.Driver}'s [?observer] on the simulator, or from the
     [Runtime.Instrument] wrapper on real domains), operation {!Invoke} /
     {!Response} spans, free-form {!Annotate} marks (e.g. ["round 3"],
@@ -20,8 +22,9 @@
       byte-identical re-export.
 
     Everything is {e off by default}: no journal attached means no
-    events, no allocation, no extra accesses — algorithms take the
-    journal as an option and the [None] path is free. *)
+    events, no allocation, no extra accesses — algorithms cache the
+    journal option from their [Runtime.Ctx] and the [None] path is
+    free. *)
 
 type event_kind =
   | Access of { kind : Pram.Trace.kind; reg_id : int; reg_name : string }
@@ -84,21 +87,6 @@ module Journal : sig
   val clear : t -> unit
 end
 
-(** Optional-journal helpers: the [None] path performs no work and no
-    allocation, so algorithms can take [?journal] parameters without
-    taxing untraced runs. *)
-val annotate_opt : Journal.t option -> pid:int -> string -> unit
-
-(** Like {!annotate_opt} with a format string; on [None] the message is
-    never rendered.  Note the [None] path still builds a few small
-    closures per call ([ikfprintf]); in per-access hot loops prefer an
-    explicit [match] on the journal with [Printf.sprintf] in the [Some]
-    branch, which keeps the untraced path allocation-free. *)
-val annotatef_opt :
-  Journal.t option -> pid:int -> ('a, unit, string, unit) format4 -> 'a
-
-val span_opt : Journal.t option -> pid:int -> op:string -> (unit -> 'a) -> 'a
-
 (** A self-contained, serializable trace: the journal's events plus the
     encoded schedule that produced them (empty for native runs, where
     there is no schedule to replay). *)
@@ -113,6 +101,14 @@ type archive = {
 
 (** Snapshot a journal into an archive. *)
 val archive : ?schedule:int list -> Journal.t -> archive
+
+(** [span_stats a ~op] summarizes the closed [op] spans of [a]: each
+    span contributes the number of its own process's {!Access} events
+    between its {!Invoke} and matching {!Response} (nested spans
+    included, other processes' accesses excluded).  On the simulator
+    this is exactly the operation's step count.  [None] when no [op]
+    span closed. *)
+val span_stats : archive -> op:string -> Telemetry.Stats.t option
 
 (** {2 Renderer 1: per-pid ASCII timeline} *)
 

@@ -118,10 +118,9 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     anchor : Anchor.handle;  (* the underlying snapshot-array session *)
     journal : Tracing.Journal.t option;
         (* cached from [ctx] at attach time: the execute hot path guards
-           its annotations with a single allocation-free match *)
-    quiet : bool;
-        (* no journal and no metrics: [execute] skips the span bracket,
-           so the unobserved path never builds a closure *)
+           its annotations with a single allocation-free match, and
+           [execute] skips the span bracket without one, so the
+           unobserved path never builds a closure *)
     mode : mode;
     variant : Snapshot.Scan.variant;  (* the anchor's scan variant *)
     memo : memo;  (* counters only in [Reference] mode *)
@@ -162,8 +161,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       ctx;
       anchor = Anchor.attach obj.anchor ctx;
       journal = Runtime.Ctx.journal ctx;
-      quiet =
-        Runtime.Ctx.journal ctx = None && Runtime.Ctx.metrics ctx = None;
       mode;
       variant;
       memo = fresh_memo obj.procs;
@@ -456,9 +453,10 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     resp
 
   let execute h op =
-    if h.quiet then execute_inner h op
-    else
-      Runtime.Ctx.span h.ctx ~op:"uc.execute" (fun () -> execute_inner h op)
+    match h.journal with
+    | None -> execute_inner h op
+    | Some _ ->
+        Runtime.Ctx.span h.ctx ~op:"uc.execute" (fun () -> execute_inner h op)
 
   (* Read-only variant: linearizes the current graph and applies [op] to
      the resulting state without publishing an entry.  Valid only for

@@ -138,7 +138,7 @@ let keyed_gset_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc :
    falls behind is charged to the system — the coordinated-omission
    correction.  Latency is recorded per operation at flush granularity
    (an operation completes when the flush containing it returns) into a
-   [Metrics.Histogram] in nanoseconds. *)
+   [Telemetry.Histogram] in nanoseconds. *)
 module Traffic = struct
   type loop = Closed | Open of { rate : float }
 
@@ -146,7 +146,8 @@ module Traffic = struct
     ops : int;
     elapsed : float;
     throughput : float;
-    latency : Metrics.Stats.t option;
+    latency : Telemetry.Stats.t option;
+    samples : Telemetry.Histogram.t;
   }
 
   let drive ?telemetry ?(loop = Closed) ?(flush_every = 64) ~ops ~submit
@@ -157,7 +158,7 @@ module Traffic = struct
     | Open { rate } when rate <= 0.0 ->
         invalid_arg "Workload.Traffic.drive: open-loop rate must be positive"
     | _ -> ());
-    let lat = Metrics.Histogram.create () in
+    let lat = Telemetry.Histogram.create () in
     let starts = Queue.create () in
     let count = ref 0 in
     let t0 = Unix.gettimeofday () in
@@ -168,7 +169,7 @@ module Traffic = struct
         Queue.iter
           (fun t ->
             let ns = int_of_float (Float.max 0.0 ((now -. t) *. 1e9)) in
-            Metrics.Histogram.add lat ns;
+            Telemetry.Histogram.add lat ns;
             (* sampler feed: one observation per completed operation, at
                flush granularity — the window it lands in is the flush's
                window, which is also when the operation became visible *)
@@ -205,37 +206,30 @@ module Traffic = struct
       ops = !count;
       elapsed;
       throughput = float_of_int !count /. elapsed;
-      latency = Metrics.Histogram.stats lat;
+      latency = Telemetry.Histogram.stats lat;
+      samples = lat;
     }
 
   (* Merge per-process reports into one: ops summed, elapsed is the
      slowest process (the parallel span), throughput = total ops over
-     that span.  Latency histograms cannot be merged from Stats alone,
-     so the merged view keeps the worst p99 representative. *)
+     that span, latency over the pooled samples of every process. *)
   let merge reports =
     match reports with
     | [] -> invalid_arg "Workload.Traffic.merge: no reports"
     | _ ->
         let ops = List.fold_left (fun a r -> a + r.ops) 0 reports in
         let elapsed =
-          List.fold_left (fun a r -> Float.max a r.elapsed) 0.0 reports
+          List.fold_left (fun a r -> Float.max a r.elapsed) 1e-9 reports
         in
-        let latency =
-          List.fold_left
-            (fun acc r ->
-              match (acc, r.latency) with
-              | None, l -> l
-              | l, None -> l
-              | Some a, Some b ->
-                  Some (if b.Metrics.Stats.p99 > a.Metrics.Stats.p99 then b
-                        else a))
-            None reports
+        let samples =
+          Telemetry.Histogram.merge (List.map (fun r -> r.samples) reports)
         in
         {
           ops;
-          elapsed = Float.max elapsed 1e-9;
-          throughput = float_of_int ops /. Float.max elapsed 1e-9;
-          latency;
+          elapsed;
+          throughput = float_of_int ops /. elapsed;
+          latency = Telemetry.Histogram.stats samples;
+          samples;
         }
 end
 

@@ -71,10 +71,12 @@ module Traffic : sig
     ops : int;  (** operations completed *)
     elapsed : float;  (** wall-clock seconds for the whole stream *)
     throughput : float;  (** ops / elapsed *)
-    latency : Metrics.Stats.t option;
+    latency : Telemetry.Stats.t option;
         (** per-operation latency in nanoseconds, measured at flush
             granularity (an operation completes when the flush containing
             it returns); [None] when no operation ran *)
+    samples : Telemetry.Histogram.t;
+        (** the raw latency observations [latency] summarizes *)
   }
 
   (** [drive ~ops ~submit ~flush ()] pushes each [(key, op)] through
@@ -100,8 +102,8 @@ module Traffic : sig
 
   (** Merge per-process reports: ops summed, elapsed = the slowest
       process (the parallel span), throughput over that span; latency
-      keeps the representative with the worst p99 (histograms are not
-      reconstructible from [Stats]).
+      is computed over the pooled samples of every report, so the
+      merged p50/p99/mean describe all operations.
       @raise Invalid_argument on an empty list. *)
   val merge : report list -> report
 end

@@ -107,12 +107,12 @@ let test_reads_per_propose_counted () =
      ceil(log2 n) levels of n slot reads (plus one write per level,
      not part of the read formula). *)
   for procs = 1 to 8 do
-    let recorder = Metrics.Recorder.create ~procs in
+    let c = Telemetry.Counters.create ~procs () in
     let module M =
       Runtime.Instrument
         (Pram.Memory.Direct)
         (struct
-          let sink = Runtime.Sink.make ~metrics:recorder ()
+          let sink = Runtime.Sink.make ~telemetry:c ()
         end)
     in
     let module C = Snapshot.Lattice_agreement.Classifier (M) in
@@ -122,7 +122,7 @@ let test_reads_per_propose_counted () =
     check_int
       (Printf.sprintf "classifier reads at n=%d" procs)
       (C.reads_per_propose ~procs)
-      (Metrics.Recorder.reads recorder ~pid:0)
+      (Telemetry.Counters.get c ~pid:0 ~family:0 Telemetry.Event.Read)
   done
 
 let test_exhaustive_two_procs () =

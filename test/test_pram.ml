@@ -162,27 +162,46 @@ let test_native_parallel_counter () =
   check_bool "each domain did its 1000 increments" true
     (List.for_all (fun v -> v = 1000) results)
 
+(* Access counting on real domains is the one memory wrapper,
+   [Runtime.Instrument] over [Native.Mem], feeding each domain's own row
+   of a telemetry grid. *)
+let grid_reads c = Telemetry.Counters.total c Telemetry.Event.Read
+let grid_writes c = Telemetry.Counters.total c Telemetry.Event.Write
+
 let test_native_counting () =
-  let module C = Pram.Native.Counting (Pram.Native.Mem) in
-  C.reset ();
+  let c = Telemetry.Counters.create ~procs:1 () in
+  let module C =
+    Runtime.Instrument
+      (Pram.Native.Mem)
+      (struct
+        let sink = Runtime.Sink.make ~telemetry:c ()
+      end)
+  in
+  Runtime.set_pid 0;
   let r = C.create 0 in
   C.write r 5;
   check_int "read back" 5 (C.read r);
   ignore (C.read r);
-  check_int "reads counted" 2 (C.reads ());
-  check_int "writes counted" 1 (C.writes ())
+  check_int "reads counted" 2 (grid_reads c);
+  check_int "writes counted" 1 (grid_writes c)
 
 let test_native_counting_per_domain_totals () =
-  (* Regression for the per-domain cell rewrite: the aggregated totals
-     must equal what the old single-pair-of-global-atomics version
-     reported — exactly procs * per-domain work, with nothing lost when
-     the domains have already joined, and reset must zero every cell. *)
-  let module C = Pram.Native.Counting (Pram.Native.Mem) in
+  (* The per-domain totals must be exactly each domain's work, with
+     nothing lost once the domains have joined, and reset must zero
+     every cell. *)
   let procs = 4 and reads = 300 and writes = 120 in
-  C.reset ();
+  let c = Telemetry.Counters.create ~procs () in
+  let module C =
+    Runtime.Instrument
+      (Pram.Native.Mem)
+      (struct
+        let sink = Runtime.Sink.make ~telemetry:c ()
+      end)
+  in
   let r = C.create 0 in
   let _ =
     Pram.Native.run_parallel ~procs (fun pid ->
+        Runtime.set_pid pid;
         for _ = 1 to reads do
           ignore (C.read r)
         done;
@@ -190,43 +209,30 @@ let test_native_counting_per_domain_totals () =
           C.write r (pid + i)
         done)
   in
-  (* every domain has joined; its cell's counts must still be visible *)
-  check_int "reads = procs * per-domain reads" (procs * reads) (C.reads ());
+  (* every domain has joined; its row's counts must still be visible *)
+  for pid = 0 to procs - 1 do
+    check_int
+      (Printf.sprintf "pid %d reads" pid)
+      reads
+      (Telemetry.Counters.get c ~pid ~family:0 Telemetry.Event.Read);
+    check_int
+      (Printf.sprintf "pid %d writes" pid)
+      writes
+      (Telemetry.Counters.get c ~pid ~family:0 Telemetry.Event.Write)
+  done;
+  check_int "reads = procs * per-domain reads" (procs * reads) (grid_reads c);
   check_int "writes = procs * per-domain writes" (procs * writes)
-    (C.writes ());
-  C.reset ();
-  check_int "reset zeroes reads" 0 (C.reads ());
-  check_int "reset zeroes writes" 0 (C.writes ());
+    (grid_writes c);
+  Telemetry.Counters.reset c;
+  check_int "reset zeroes reads" 0 (grid_reads c);
+  check_int "reset zeroes writes" 0 (grid_writes c);
   (* and a second parallel round counts from zero again *)
   let _ =
-    Pram.Native.run_parallel ~procs (fun _ -> ignore (C.read r))
+    Pram.Native.run_parallel ~procs (fun pid ->
+        Runtime.set_pid pid;
+        ignore (C.read r))
   in
-  check_int "fresh round counts fresh" procs (C.reads ())
-
-let test_native_counting_registration_stress () =
-  (* Registration stampede: every domain registers its cell on its FIRST
-     wrapped access, so spawning many domains that immediately touch the
-     same register makes them all hit the registry CAS at once — the
-     contended path the [Domain.cpu_relax] back-off protects.  Several
-     rounds accumulate cells from already-joined domains; the aggregate
-     must never lose a registration or an increment. *)
-  let module C = Pram.Native.Counting (Pram.Native.Mem) in
-  let procs = 12 and rounds = 5 and per = 50 in
-  C.reset ();
-  let r = C.create 0 in
-  for round = 1 to rounds do
-    let _ =
-      Pram.Native.run_parallel ~procs (fun pid ->
-          for i = 1 to per do
-            C.write r ((round * 1000) + (pid * per) + i);
-            ignore (C.read r)
-          done)
-    in
-    check_int "no write lost across registrations"
-      (round * procs * per) (C.writes ());
-    check_int "no read lost across registrations"
-      (round * procs * per) (C.reads ())
-  done
+  check_int "fresh round counts fresh" procs (grid_reads c)
 
 (* --- cache-line padding ------------------------------------------------------ *)
 
@@ -554,8 +560,6 @@ let suite =
     Alcotest.test_case "native counting wrapper" `Quick test_native_counting;
     Alcotest.test_case "native counting per-domain totals" `Quick
       test_native_counting_per_domain_totals;
-    Alcotest.test_case "native counting registration stress" `Slow
-      test_native_counting_registration_stress;
     Alcotest.test_case "padding semantics" `Quick test_padding_semantics;
     Alcotest.test_case "padding under domains" `Quick
       test_padding_under_domains;

@@ -223,7 +223,7 @@ let test_api_guards () =
      ignore (S_direct.attach ~batching:(Universal.Store.Batched 1) store ctx0);
      Alcotest.fail "Batched 1 should be rejected"
    with Invalid_argument _ -> ());
-  let h = Runtime.Ctx.attach ctx0 (S_direct.attach store) in
+  let h = S_direct.attach store ctx0 in
   check_bool "execute commits a singleton" true
     (S_direct.execute h ~key:"a" (C.Inc 2) = C.Unit);
   S_direct.submit h ~key:"a" (C.Inc 1);
@@ -300,7 +300,10 @@ let explore_expected =
    the replay driver (procs + 1). *)
 let store_setup ~batching ~procs ~script ~keys () =
   let store = S_sim.create ~shards:2 ~procs:(procs + 1) () in
-  let ctxs = Runtime.Ctx.family ~procs:(procs + 1) () in
+  let ctxs =
+    Array.init (procs + 1) (fun pid ->
+        Runtime.Ctx.make ~procs:(procs + 1) ~pid ())
+  in
   fun pid ->
     if pid < procs then begin
       let h = S_sim.attach ~batching store ctxs.(pid) in
@@ -444,7 +447,10 @@ let qcheck_store_native =
       in
       let run batching =
         let store = S_native.create ~shards:2 ~procs:(procs + 1) () in
-        let ctxs = Runtime.Ctx.family ~procs:(procs + 1) () in
+        let ctxs =
+    Array.init (procs + 1) (fun pid ->
+        Runtime.Ctx.make ~procs:(procs + 1) ~pid ())
+  in
         ignore
           (Pram.Native.run_parallel ~procs (fun pid ->
                let h = S_native.attach ~batching store ctxs.(pid) in

@@ -82,7 +82,7 @@ let test_counter_attribution_8_domains () =
     Pram.Native.run_parallel ~procs (fun pid ->
         for _ = 1 to pid + 1 do
           Telemetry.Counters.record c ~pid ~family:(pid mod families)
-            Telemetry.Event.Registration_cas_retry
+            Telemetry.Event.Double_collect_restart
         done;
         Telemetry.Counters.add c ~pid ~family:(pid mod families)
           Telemetry.Event.Shard_queue_depth
@@ -90,10 +90,10 @@ let test_counter_attribution_8_domains () =
   in
   for pid = 0 to procs - 1 do
     check_int
-      (Printf.sprintf "pid %d cas retries" pid)
+      (Printf.sprintf "pid %d restarts" pid)
       (pid + 1)
       (Telemetry.Counters.get c ~pid ~family:(pid mod families)
-         Telemetry.Event.Registration_cas_retry);
+         Telemetry.Event.Double_collect_restart);
     check_int
       (Printf.sprintf "pid %d queue depth" pid)
       (10 * (pid + 1))
@@ -103,18 +103,18 @@ let test_counter_attribution_8_domains () =
     (* pids [family] and [family + 4] land in this family *)
     let expect = (family + 1) + (family + 5) in
     check_int
-      (Printf.sprintf "family %d cas retries" family)
+      (Printf.sprintf "family %d restarts" family)
       expect
       (Telemetry.Counters.family_total c ~family
-         Telemetry.Event.Registration_cas_retry)
+         Telemetry.Event.Double_collect_restart)
   done;
-  check_int "grand total cas retries" 36
-    (Telemetry.Counters.total c Telemetry.Event.Registration_cas_retry);
+  check_int "grand total restarts" 36
+    (Telemetry.Counters.total c Telemetry.Event.Double_collect_restart);
   check_int "grand total queue depth" 360
     (Telemetry.Counters.total c Telemetry.Event.Shard_queue_depth);
   let totals = Telemetry.Counters.totals c in
   check_int "totals array agrees" 36
-    totals.(Telemetry.Event.index Telemetry.Event.Registration_cas_retry);
+    totals.(Telemetry.Event.index Telemetry.Event.Double_collect_restart);
   check_int "untouched event stays zero" 0
     (Telemetry.Counters.total c Telemetry.Event.Store_rebuild)
 
@@ -170,9 +170,9 @@ let test_sampler_windows () =
   (match windows.(0).Telemetry.Window.latency with
   | None -> Alcotest.fail "window 0 lost its latency stats"
   | Some st ->
-      check_int "window 0 p50" 50 st.Metrics.Stats.p50;
-      check_int "window 0 p99" 99 st.Metrics.Stats.p99;
-      check_int "window 0 max" 100 st.Metrics.Stats.max);
+      check_int "window 0 p50" 50 st.Telemetry.Stats.p50;
+      check_int "window 0 p99" 99 st.Telemetry.Stats.p99;
+      check_int "window 0 max" 100 st.Telemetry.Stats.max);
   check_bool "empty window has no latency" true
     (windows.(2).Telemetry.Window.latency = None);
   (* delta/total reconciliation: for every event, the sum of per-window

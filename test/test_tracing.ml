@@ -329,20 +329,16 @@ let test_instrument_native_domains () =
 (* --- zero overhead when disabled --------------------------------------------- *)
 
 let scan_access_counts ~journal ~procs =
-  (* metrics-vs-metrics: count every fired access with the Metrics
-     observer, with and without a tracing journal attached. *)
-  let recorder = Metrics.Recorder.create ~procs in
+  (* count every fired access in a telemetry grid fed by the driver
+     observer, with and without a tracing journal attached *)
+  let c = Telemetry.Counters.create ~procs () in
   let j =
     match journal with
     | false -> None
     | true -> Some (Tracing.Journal.create ~procs ())
   in
   let module S = Snapshot.Scan.Make (Semilattice.Int_max) (Pram.Memory.Sim_v) in
-  let sink =
-    match j with
-    | None -> Runtime.Sink.none
-    | Some jn -> Runtime.Sink.make ~journal:jn ()
-  in
+  let sink = Runtime.Sink.make ?journal:j () in
   let program () =
     let t = S.create ~procs in
     fun pid ->
@@ -350,19 +346,16 @@ let scan_access_counts ~journal ~procs =
       S.write_l h (pid + 1);
       ignore (S.read_max h)
   in
-  let observer =
-    match j with
-    | None -> Metrics.Recorder.observer recorder
-    | Some jn ->
-        fun a ->
-          Metrics.Recorder.observer recorder a;
-          Tracing.Journal.observer jn a
+  let d =
+    Pram.Driver.create
+      ?observer:
+        (Runtime.Sink.observer (Runtime.Sink.make ?journal:j ~telemetry:c ()))
+      ~procs program
   in
-  let d = Pram.Driver.create ~observer ~procs program in
   Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
   ( List.init procs (fun pid ->
-        ( Metrics.Recorder.reads recorder ~pid,
-          Metrics.Recorder.writes recorder ~pid )),
+        ( Telemetry.Counters.get c ~pid ~family:0 Telemetry.Event.Read,
+          Telemetry.Counters.get c ~pid ~family:0 Telemetry.Event.Write )),
     j )
 
 let test_tracing_adds_zero_accesses () =
@@ -387,57 +380,47 @@ let test_tracing_adds_zero_accesses () =
       check_int "writes = 2 scans" (2 * fw) w)
     off
 
+let measure_alloc g =
+  let b0 = Gc.allocated_bytes () in
+  g ();
+  let b1 = Gc.allocated_bytes () in
+  b1 -. b0
+
 let test_disabled_helpers_allocate_nothing () =
-  (* annotate_opt/span_opt on None, and the guarded-match idiom the scan
-     hot loop uses, must not allocate at all. *)
-  let f = ref (fun () -> 0) in
-  (f := fun () -> 1);
-  let measure g =
-    let b0 = Gc.allocated_bytes () in
-    g ();
-    let b1 = Gc.allocated_bytes () in
-    b1 -. b0
-  in
-  (* both measurements carry the same fixed cost (the boxed floats
-     Gc.allocated_bytes returns), so equality means the helpers added
-     zero bytes *)
-  let journal = None in
-  let empty = measure (fun () -> for _ = 0 to 9_999 do () done) in
-  let helpers =
-    measure (fun () ->
+  (* the guarded [match] on the cached journal that the scan and
+     construction hot loops use instead of [Ctx.annotatef] must not
+     allocate at all when no journal is attached.  Both measurements
+     carry the same fixed cost (the boxed floats Gc.allocated_bytes
+     returns), so equality means the guard added zero bytes. *)
+  let ctx = Runtime.Ctx.make ~procs:1 ~pid:0 () in
+  let journal = Runtime.Ctx.journal ctx in
+  let empty = measure_alloc (fun () -> for _ = 0 to 9_999 do () done) in
+  let guarded =
+    measure_alloc (fun () ->
         for i = 0 to 9_999 do
-          Tracing.annotate_opt journal ~pid:0 "static label";
-          (match journal with
+          match journal with
           | None -> ()
           | Some j ->
-              Tracing.Journal.annotate j ~pid:0 (Printf.sprintf "pass %d" i));
-          ignore (Tracing.span_opt journal ~pid:0 ~op:"op" !f)
+              Tracing.Journal.annotate j ~pid:0 (Printf.sprintf "pass %d" i)
         done)
   in
   check_bool
     (Printf.sprintf
-       "no allocation on the disabled path (empty loop %.0f, helpers %.0f)"
-       empty helpers)
-    true (helpers = empty)
+       "no allocation on the disabled path (empty loop %.0f, guarded %.0f)"
+       empty guarded)
+    true (guarded = empty)
 
 let test_ctx_no_sink_allocates_nothing () =
-  (* the Ctx generalization of the guarantee: a context carrying
-     [Sink.none] (the default) must make annotation and span sites free —
-     no bytes allocated, no events recorded. *)
+  (* a context carrying [Sink.none] (the default) must make annotation
+     and span sites free — no bytes allocated, no events recorded. *)
   let ctx = Runtime.Ctx.make ~procs:1 ~pid:0 () in
-  check_bool "default sink is none" true
-    (Runtime.Sink.is_none (Runtime.Ctx.sink ctx));
+  check_bool "default sink is empty" true
+    (Runtime.Ctx.journal ctx = None && Runtime.Ctx.telemetry ctx = None);
   let f = ref (fun () -> 0) in
   (f := fun () -> 1);
-  let measure g =
-    let b0 = Gc.allocated_bytes () in
-    g ();
-    let b1 = Gc.allocated_bytes () in
-    b1 -. b0
-  in
-  let empty = measure (fun () -> for _ = 0 to 9_999 do () done) in
+  let empty = measure_alloc (fun () -> for _ = 0 to 9_999 do () done) in
   let ctx_sites =
-    measure (fun () ->
+    measure_alloc (fun () ->
         for _ = 0 to 9_999 do
           Runtime.Ctx.annotate ctx "static label";
           ignore (Runtime.Ctx.span ctx ~op:"op" !f)
@@ -560,10 +543,9 @@ let test_adaptive_read_max_allocates_nothing () =
 let test_universal_scan_update_allocates_nothing_extra () =
   (* The universal construction's scan/update path (execute = adaptive
      snapshot + publish-only update) under [Sink.none]: the dispatch on
-     the attach-time [quiet] bit must make the unobserved path
+     the journal cached at attach must make the unobserved path
      allocation-deterministic, and never costlier than the same ops with
-     a live journal+metrics sink (which builds span closures and
-     events). *)
+     a live journal (which builds span closures and events). *)
   let procs = 2 in
   let module U =
     Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Direct_v)
@@ -587,9 +569,8 @@ let test_universal_scan_update_allocates_nothing_extra () =
   let off1 = run None in
   let off2 = run None in
   let on =
-    let recorder = Metrics.Recorder.create ~procs in
     let j = Tracing.Journal.create ~procs () in
-    run (Some (Runtime.Sink.make ~metrics:recorder ~journal:j ()))
+    run (Some (Runtime.Sink.make ~journal:j ()))
   in
   check_bool
     (Printf.sprintf

@@ -1,4 +1,5 @@
-(* Tests for the workload/schedule generators and the PCT scheduler. *)
+(* Tests for the workload/schedule generators, the PCT scheduler and the
+   traffic front-end's reports. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -156,6 +157,59 @@ let qcheck_pct_preserves_correct_algorithms =
       Pram.Scheduler.run (Pram.Scheduler.pct ~seed ~depth ~max_steps:60 ()) d;
       Check.is_linearizable (Spec.History.Recorder.events recorder))
 
+(* --- traffic reports --------------------------------------------------------- *)
+
+(* Two clients drawn from disjoint latency distributions: the merged
+   report must describe every operation — its p50, p99 and mean are
+   those of the pooled samples, not of either client alone. *)
+let test_traffic_merge_pools_latency () =
+  let report xs =
+    let h = Telemetry.Histogram.create () in
+    List.iter (Telemetry.Histogram.add h) xs;
+    {
+      Workload.Traffic.ops = List.length xs;
+      elapsed = 1.0;
+      throughput = float_of_int (List.length xs);
+      latency = Telemetry.Histogram.stats h;
+      samples = h;
+    }
+  in
+  let fast = List.init 100 (fun i -> 10 + i) in
+  let slow = List.init 10 (fun i -> 5000 + i) in
+  let merged = Workload.Traffic.merge [ report fast; report slow ] in
+  let pooled = Array.of_list (List.sort compare (fast @ slow)) in
+  let n = Array.length pooled in
+  let nearest_rank q =
+    pooled.(max 1 (int_of_float (ceil (q *. float_of_int n))) - 1)
+  in
+  check_int "ops summed" n merged.Workload.Traffic.ops;
+  match merged.Workload.Traffic.latency with
+  | None -> Alcotest.fail "merged latency expected"
+  | Some s ->
+      check_int "count" n s.Telemetry.Stats.count;
+      check_int "p50 of pooled samples" (nearest_rank 0.50)
+        s.Telemetry.Stats.p50;
+      check_int "p99 of pooled samples" (nearest_rank 0.99)
+        s.Telemetry.Stats.p99;
+      check_bool "mean of pooled samples" true
+        (Float.abs
+           (s.Telemetry.Stats.mean
+           -. (float_of_int (Array.fold_left ( + ) 0 pooled) /. float_of_int n))
+        < 1e-9)
+
+(* A driven report carries one latency sample per completed operation. *)
+let test_traffic_report_carries_samples () =
+  let r =
+    Workload.Traffic.drive ~flush_every:2
+      ~ops:(List.init 5 (fun i -> ("k", i)))
+      ~submit:(fun _ _ -> ())
+      ~flush:(fun () -> ())
+      ()
+  in
+  check_int "ops" 5 r.Workload.Traffic.ops;
+  check_int "one sample per op" 5
+    (Telemetry.Histogram.count r.Workload.Traffic.samples)
+
 let () =
   Alcotest.run "workload"
     [
@@ -187,5 +241,12 @@ let () =
           Alcotest.test_case "finds ordering bug" `Quick
             test_pct_finds_ordering_bug;
           QCheck_alcotest.to_alcotest qcheck_pct_preserves_correct_algorithms;
+        ] );
+      ( "traffic",
+        [
+          Alcotest.test_case "merge pools latency samples" `Quick
+            test_traffic_merge_pools_latency;
+          Alcotest.test_case "report carries its samples" `Quick
+            test_traffic_report_carries_samples;
         ] );
     ]

@@ -77,10 +77,11 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
        seq range (downward closure);
      - [m_state] is the fold of the committed entries' operations, in
        SOME precedence-respecting order, from [O.initial];
-     - [m_ops] maps every distinct non-read-only committed operation
-       value to the per-pid maximum committed seq carrying it — the
-       summary that lets a delta entry check "does every conflicting
-       committed entry precede me?" in O(procs) without a graph walk;
+     - [m_last.(p)] is the committed entry at seq [m_hwm.(p)]; following
+       [e_preceding.(p)] from it visits p's committed entries newest
+       first, so the committed entries outside a delta entry's causal
+       past — those published during its snapshot-to-publish window —
+       are the prefix of each chain down to that past;
      - [m_canonical]: every pair of committed entries either commutes,
        has a read-only member, or is precedence-ordered.  Under this
        invariant EVERY precedence-respecting fold of the committed set
@@ -94,7 +95,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
   type memo = {
     mutable m_state : O.state;
     m_hwm : int array;  (* committed high-water mark per pid *)
-    m_ops : (O.operation, int array) Hashtbl.t;
+    m_last : entry option array;  (* committed entry at [m_hwm.(p)] *)
     mutable m_committed : int;
     mutable m_canonical : bool;
     (* introspection counters for the O(delta) regression tests *)
@@ -140,7 +141,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     {
       m_state = O.initial;
       m_hwm = Array.make procs 0;
-      m_ops = Hashtbl.create 16;
+      m_last = Array.make procs None;
       m_committed = 0;
       m_canonical = true;
       m_replays = 0;
@@ -260,45 +261,46 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
   (* ------------------------------------------------------------------ *)
   (* Incremental path: delta collection, safety checks, merge, rebuild.  *)
 
+  (* Pid [p]'s entries with seq above [floor] on the chain down from
+     [top], newest first: each entry of p points at p's previous one
+     through p's own anchor slot (contiguity). *)
+  let rec chain_fold f acc p floor = function
+    | Some e when e.e_seq > floor ->
+        chain_fold f (f acc e) p floor e.e_preceding.(p)
+    | Some _ | None -> acc
+
   (* Entries reachable from [view] but not yet committed, in canonical
      (depth, pid, seq) order — which respects precedence, since depth
      strictly increases along preceding-chains.  The committed set is
-     downward-closed, so cutting the walk at [seq <= hwm] is exact. *)
+     downward-closed, so these are, per pid p, the seqs
+     [hwm.(p)+1 .. view.(p)]. *)
   let collect_delta memo view =
-    let seen = Hashtbl.create 16 in
     let acc = ref [] in
-    let rec visit = function
-      | None -> ()
-      | Some e ->
-          if e.e_seq > memo.m_hwm.(e.e_pid) then begin
-            let key = (e.e_pid, e.e_seq) in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key e;
-              Array.iter visit e.e_preceding;
-              acc := e :: !acc
-            end
-          end
-    in
-    Array.iter visit view;
+    Array.iteri
+      (fun p top ->
+        acc := chain_fold (fun acc e -> e :: acc) !acc p memo.m_hwm.(p) top)
+      view;
     List.sort by_canonical_key !acc
 
   (* May [d] (with causal past [past]) be appended behind the committed
      prefix without changing the reachable state?  Yes if it is
      read-only, or if every committed entry it does not commute with
      precedes it (in which case every precedence-respecting order already
-     agrees on their relative position). *)
+     agrees on their relative position).  The committed entries outside
+     d's past are, per pid p, seqs [past.(p)+1 .. hwm.(p)]: the window
+     published while d was between its snapshot and its publish. *)
   let safe_wrt_committed memo d past =
     O.reads_only d.e_op
-    || (try
-          Hashtbl.iter
-            (fun q maxseq ->
-              if not (O.commutes d.e_op q) then
-                Array.iteri
-                  (fun p s -> if s > past.(p) then raise Exit)
-                  maxseq)
-            memo.m_ops;
-          true
-        with Exit -> false)
+    ||
+    let conflicts found c =
+      found || ((not (O.reads_only c.e_op)) && not (O.commutes d.e_op c.e_op))
+    in
+    let rec from p =
+      p = Array.length past
+      || (not (chain_fold conflicts false p past.(p) memo.m_last.(p)))
+         && from (p + 1)
+    in
+    from 0
 
   (* Pairwise condition inside the delta: every precedence-incomparable
      pair must commute or contain a read-only member.  [delta] is in
@@ -321,40 +323,32 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       true
     with Exit -> false
 
-  (* Fold [e] into the committed prefix: state, high-water mark, and the
-     distinct-operation summary.  [apply_op] is false when the state
-     contribution was already accounted for (the caller's own entry,
-     whose apply also produced the response). *)
+  (* Fold [e] into the committed prefix: state, high-water mark and
+     last entry.  [apply_op] is false when the state contribution was
+     already accounted for (the caller's own entry, whose apply also
+     produced the response). *)
   let commit memo e ~apply_op =
     if apply_op then begin
       memo.m_state <- fst (O.apply memo.m_state e.e_op);
       memo.m_replays <- memo.m_replays + 1
     end;
-    if e.e_seq > memo.m_hwm.(e.e_pid) then memo.m_hwm.(e.e_pid) <- e.e_seq;
-    if not (O.reads_only e.e_op) then begin
-      let maxseq =
-        match Hashtbl.find_opt memo.m_ops e.e_op with
-        | Some a -> a
-        | None ->
-            let a = Array.make (Array.length memo.m_hwm) 0 in
-            Hashtbl.add memo.m_ops e.e_op a;
-            a
-      in
-      if e.e_seq > maxseq.(e.e_pid) then maxseq.(e.e_pid) <- e.e_seq
+    if e.e_seq > memo.m_hwm.(e.e_pid) then begin
+      memo.m_hwm.(e.e_pid) <- e.e_seq;
+      memo.m_last.(e.e_pid) <- Some e
     end;
     memo.m_committed <- memo.m_committed + 1
 
   (* Recompute the memo from scratch: the Reference linearization of the
      whole view, folded entry by entry while re-deriving the canonicity
-     flag (checking each entry against the summary of its predecessors —
-     the linearization respects precedence, so each unordered pair is
+     flag (checking each entry against the committed entries before it
+     — the linearization respects precedence, so each unordered pair is
      examined exactly once, at its later member). *)
   let rebuild memo view =
     memo.m_rebuilds <- memo.m_rebuilds + 1;
     let lin = linearization_of_view view in
     memo.m_state <- O.initial;
     Array.fill memo.m_hwm 0 (Array.length memo.m_hwm) 0;
-    Hashtbl.reset memo.m_ops;
+    Array.fill memo.m_last 0 (Array.length memo.m_last) None;
     memo.m_committed <- 0;
     memo.m_canonical <- true;
     List.iter

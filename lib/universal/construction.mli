@@ -42,8 +42,10 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
 
       [Incremental] (the default) keeps a per-handle memo of the
       already-linearized prefix — replayed state, per-peer high-water
-      marks, and a distinct-operation summary — and merges each new
-      snapshot as a delta, falling back to a full rebuild whenever a
+      marks and each peer's last committed entry — and merges each new
+      snapshot as a delta, checking each delta entry only against the
+      committed entries published during its own snapshot-to-publish
+      window, falling back to a full rebuild whenever a
       precedence-incomparable non-commuting pair of mutators appears
       (the condition under which linearization order is not forced;
       DESIGN.md §10).  [Reference] re-walks the whole reachable graph

@@ -310,6 +310,137 @@ let test_stats_shape () =
   check_int "reference never merges" 0 sref.merges;
   check_bool "reference replayed the history" true (sref.spec_replays >= 3)
 
+(* --- merge work independent of history ----------------------------------- *)
+
+(* [Gset_spec] counting its [commutes] calls: the merge's checking work,
+   apart from spec replays. *)
+module Gset_counting = struct
+  include Spec.Gset_spec
+
+  let commutes_calls = ref 0
+
+  let commutes p q =
+    incr commutes_calls;
+    Spec.Gset_spec.commutes p q
+end
+
+module UC_gset =
+  Universal.Construction.Make (Gset_counting) (Pram.Memory.Direct_v)
+
+(* Round-robin over [procs] handles, every mutator an [Add] of a fresh
+   element — as many distinct committed operation values as operations —
+   with a [Members] from pid 0 every 8th round so responses carry the
+   state.  Returns the responses, total spec replays and commutes calls. *)
+let run_distinct_adds ~mode ~procs ~per_proc =
+  Gset_counting.commutes_calls := 0;
+  let t = UC_gset.create ~procs in
+  let handles =
+    Array.init procs (fun pid -> UC_gset.attach ~mode t (ctx ~procs pid))
+  in
+  let out = ref [] in
+  for round = 0 to per_proc - 1 do
+    Array.iteri
+      (fun pid h ->
+        let op =
+          if pid = 0 && round mod 8 = 7 then Gset_counting.Members
+          else Gset_counting.Add ((round * procs) + pid)
+        in
+        out := UC_gset.execute h op :: !out)
+      handles
+  done;
+  let replays =
+    Array.fold_left (fun a h -> a + (UC_gset.stats h).spec_replays) 0 handles
+  in
+  (List.rev !out, replays, !Gset_counting.commutes_calls)
+
+let test_merge_history_independent () =
+  let procs = 4 and per_proc = 64 in
+  let m = procs * per_proc in
+  let out, replays, calls_m =
+    run_distinct_adds ~mode:UC_gset.Incremental ~procs ~per_proc
+  in
+  let ref_out, ref_replays, _ =
+    run_distinct_adds ~mode:UC_gset.Reference ~procs ~per_proc
+  in
+  check_bool "responses = reference" true
+    (List.equal Gset_counting.equal_response out ref_out);
+  check_bool "incremental replays are O(m)" true (replays <= procs * m);
+  check_int "reference replays are m(m-1)/2" (m * (m - 1) / 2) ref_replays;
+  (* Checking a delta entry walks only the committed entries published
+     during its own snapshot-to-publish window, so 4x the operations
+     cost 4x the commutes calls, give or take the first round, whose
+     shorter deltas miss fewer than procs^2 pair checks (tripled by the
+     4x scaling); a check against every distinct committed operation
+     grows about 16x. *)
+  let _, _, calls_4m =
+    run_distinct_adds ~mode:UC_gset.Incremental ~procs
+      ~per_proc:(4 * per_proc)
+  in
+  check_bool
+    (Printf.sprintf "commutes calls %d at 4m <= 4 * %d at m + 3 procs^2"
+       calls_4m calls_m)
+    true
+    (calls_4m <= (4 * calls_m) + (3 * procs * procs))
+
+(* --- the window-reject path ----------------------------------------------- *)
+
+module UC_sim = Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Sim_v)
+
+(* p1 snapshots for a [Reset], p0 runs an [Inc] to completion, p1
+   publishes, then p0 executes again.  The [Reset] is p0's whole delta, so
+   [delta_pairs_safe] has no pair to reject; p0's own committed [Inc] lies
+   outside the [Reset]'s causal past and does not commute with it, so the
+   committed-window check must send the merge to a rebuild. *)
+let test_window_reject () =
+  let procs = 2 in
+  let open Spec.Counter_spec in
+  let script = function 0 -> [ Inc 1; Read ] | _ -> [ Reset 5 ] in
+  let program ~mode ~journal out handles () =
+    out := [];
+    let t = UC_sim.create ~procs in
+    let sink = Runtime.Sink.make ~journal () in
+    fun pid ->
+      let h = UC_sim.attach ~mode t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
+      handles.(pid) <- Some h;
+      List.iter
+        (fun op -> out := (pid, UC_sim.execute h op) :: !out)
+        (script pid)
+  in
+  let out = ref [] and handles = Array.make procs None in
+  let journal = Tracing.Journal.create ~procs () in
+  let d =
+    Pram.Driver.create ~procs
+      (program ~mode:UC_sim.Incremental ~journal out handles)
+  in
+  let p1_snapshotted () =
+    List.exists
+      (fun (e : Tracing.event) ->
+        e.Tracing.pid = 1 && e.Tracing.ev = Tracing.Annotate "publish")
+      (Tracing.Journal.events journal)
+  in
+  while not (p1_snapshotted ()) do
+    Pram.Driver.step d 1
+  done;
+  while not (List.mem_assoc 0 !out) do
+    Pram.Driver.step d 0
+  done;
+  check_bool "p1 finishes" true (Pram.Driver.run_solo d 1);
+  check_bool "p0 finishes" true (Pram.Driver.run_solo d 0);
+  let s0 = UC_sim.stats (Option.get handles.(0)) in
+  check_int "window check forces one rebuild" 1 s0.rebuilds;
+  check_int "no merge" 0 s0.merges;
+  check_bool "concurrent Inc/Reset leave the memo non-canonical" false
+    s0.canonical;
+  let ref_out = ref [] in
+  ignore
+    (Pram.Driver.replay ~procs
+       (program ~mode:UC_sim.Reference
+          ~journal:(Tracing.Journal.create ~procs ())
+          ref_out (Array.make procs None))
+       (Pram.Driver.schedule d));
+  check_bool "responses = reference" true
+    (Diff_counter.same_responses (List.rev !out) (List.rev !ref_out))
+
 let () =
   Alcotest.run "incremental"
     [
@@ -337,5 +468,9 @@ let () =
           Alcotest.test_case "solo process never replays" `Quick
             test_odelta_single_process;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
+          Alcotest.test_case "merge work independent of history" `Quick
+            test_merge_history_independent;
+          Alcotest.test_case "committed-window check rejects" `Quick
+            test_window_reject;
         ] );
     ]

@@ -10,17 +10,17 @@
       recorded output lives in EXPERIMENTS.md.
 
    2. TIMING BENCHES (B1-B6): Bechamel wall-clock microbenchmarks of the
-      flagship operations, on the sequential Direct backend (pure
-      algorithmic cost) and on the Atomic-based native backend.
+      flagship operations on the sequential Direct backend (pure
+      algorithmic cost).
 
    Run everything:     dune exec bench/main.exe
    Tables only:        dune exec bench/main.exe -- --tables
    Timing only:        dune exec bench/main.exe -- --timing
    Quick versions:     dune exec bench/main.exe -- --quick
-   JSON pipeline:      dune exec bench/main.exe -- --json [--quick]
-                       (writes BENCH_PR10.json; see Experiments.Bench_json
-                       for the row schema and EXPERIMENTS.md for the
-                       recorded results) *)
+
+   The JSON rows (native multi-domain throughput, contended scans, exact
+   sim counts) come from `wfa bench [--quick] [--only F] [--out F]`; see
+   Experiments.Bench_stages and EXPERIMENTS.md. *)
 
 open Bechamel
 
@@ -32,12 +32,11 @@ module Arr_d =
 module DC_d = Universal.Direct.Counter (Pram.Memory.Direct_v)
 module UC_d = Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Direct_v)
 module AA_d = Agreement.Approx_agreement.Make (Pram.Memory.Direct)
-module Counter_native = Universal.Direct.Counter (Pram.Native.Versioned)
 
 (* B1/B2 run pid 0 with no concurrent writers: that is the UNCONTENDED
    path, and the row names say so.  The contended counterparts — the same
-   operations with [procs] real domains hammering the same grid — are
-   measured by [run_contended_timing] below via [Native.run_parallel]. *)
+   operations with [procs] real domains hammering the same grid — are the
+   scan_*_contended and snapshot_array_contended rows of `wfa bench`. *)
 let ctx0 ~procs = Wfa.Ctx.make ~procs ~pid:0 ()
 
 let bench_scan ~procs =
@@ -135,23 +134,6 @@ let run_timing ~quick =
           | Some _ | None -> Printf.printf "%-48s %16s\n" name "n/a")
         results)
     tests
-
-(* B1/B2 contended counterparts: the same scan / snapshot-array ops with
-   [procs] domains running concurrently on the shared grid (Bechamel
-   stages single-threaded closures, so these are measured with the manual
-   multi-domain harness shared with the JSON pipeline). *)
-let run_contended_timing ~quick =
-  print_endline
-    "\n### B1/B2 contended counterparts (native domains, manual timing)";
-  let rows =
-    List.filter
-      (fun r ->
-        r.Experiments.Bench_json.metric = "ns_per_op"
-        && (r.Experiments.Bench_json.procs = 4
-           || r.Experiments.Bench_json.procs = 8))
-      (Experiments.Bench_json.native_scan_rows ~quick)
-  in
-  Format.printf "%a" Experiments.Bench_json.pp_rows rows
 
 (* --- E12: DPOR vs naive schedule counts ----------------------------------
 
@@ -276,66 +258,17 @@ let run_explore_table ~quick () =
         | _ -> false)
   end
 
-(* Native-domains throughput measured directly (Bechamel measures
-   single-threaded closures; for parallel throughput we time a fixed op
-   count across domains). *)
-let run_native_throughput () =
-  print_endline "\n### Native multicore throughput (Atomic registers)";
-  let procs = min 4 (Wfa.Pram.Native.recommended_procs ()) in
-  let ops_per_proc = 20_000 in
-  let counter = Counter_native.create ~procs in
-  let t0 = Monotonic_clock.now () in
-  let _ =
-    Wfa.Pram.Native.run_parallel ~procs (fun pid ->
-        let h =
-          Counter_native.attach counter (Wfa.Ctx.make ~procs ~pid ())
-        in
-        for _ = 1 to ops_per_proc do
-          Counter_native.inc h 1
-        done)
-  in
-  let t1 = Monotonic_clock.now () in
-  let elapsed_ns = Int64.to_float (Int64.sub t1 t0) in
-  let total_ops = procs * ops_per_proc in
-  Printf.printf
-    "  %d domains x %d incs: %.1f ms total, %.0f ns/op, final value %d \
-     (expected %d)\n"
-    procs ops_per_proc (elapsed_ns /. 1e6)
-    (elapsed_ns /. float_of_int total_ops)
-    (Counter_native.read (Counter_native.attach counter (ctx0 ~procs)))
-    total_ops
-
-(* --- the JSON pipeline ------------------------------------------------------ *)
-
-let run_json ~quick =
-  let path = Experiments.Bench_json.default_path in
-  let rows = Experiments.Bench_json.run ~path ~quick () in
-  Printf.printf "wrote %d rows to %s\n" (List.length rows) path;
-  match Experiments.Bench_json.validate_file ~path () with
-  | Ok n -> Printf.printf "schema check: ok (%d rows)\n" n
-  | Error errs ->
-      List.iter (Printf.eprintf "schema check FAILED: %s\n") errs;
-      exit 1
-
 let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
   let tables_only = List.mem "--tables" args in
   let timing_only = List.mem "--timing" args in
-  let json = List.mem "--json" args in
-  if json then run_json ~quick
-  else begin
-    if not timing_only then begin
-      print_endline
-        "=== Experiment tables (paper claims vs measurements; see \
-         EXPERIMENTS.md) ===";
-      Experiments.run_all ~quick ();
-      run_explore_table ~quick ()
-    end;
-    if not tables_only then begin
-      run_timing ~quick;
-      run_contended_timing ~quick;
-      run_native_throughput ()
-    end
+  if not timing_only then begin
+    print_endline
+      "=== Experiment tables (paper claims vs measurements; see \
+       EXPERIMENTS.md) ===";
+    Experiments.run_all ~quick ();
+    run_explore_table ~quick ()
   end;
+  if not tables_only then run_timing ~quick;
   print_endline "\nbench: done"

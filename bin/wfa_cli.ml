@@ -1113,86 +1113,53 @@ let top_cmd =
 
 (* --- bench / bench-validate -------------------------------------------------- *)
 
+(* the bench families, as `--only` takes them *)
+let family_enum =
+  Arg.enum
+    [
+      ("store", Experiments.Bench_json.Store);
+      ("series", Experiments.Bench_json.Series);
+      ("scan", Experiments.Bench_json.Scan);
+    ]
+
 let bench_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Write the rows as JSON to $(b,--out) (the only supported \
-             output; the flag exists for symmetry with bench/main.exe).")
-  in
   let out =
     Arg.(
-      value
-      & opt string Experiments.Bench_json.default_path
+      value & opt string "bench.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Output path for the JSON rows.")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
   in
-  let run json out quick =
-    ignore json;
-    let rows = Experiments.Bench_json.run ~path:out ~quick () in
+  let only =
+    Arg.(
+      value
+      & opt (some family_enum) None
+      & info [ "only" ] ~docv:"FAMILY"
+          ~doc:
+            "Run only the stages of one bench family and validate with its \
+             gates: $(b,store) (sim store counters, native batched vs \
+             unbatched throughput, the windowed store stages), \
+             $(b,series) (the stages that emit windowed series) or \
+             $(b,scan) (sim and native scan stages).")
+  in
+  let run out quick only =
+    let rows = Experiments.Bench_stages.run ?only ~quick () in
+    Experiments.Bench_json.write_file ~path:out rows;
     Printf.printf "wrote %d rows to %s\n" (List.length rows) out;
-    match Experiments.Bench_json.validate_file ~path:out () with
+    match Experiments.Bench_json.validate_file ?only ~path:out () with
     | Ok _ -> `Ok ()
     | Error errs ->
-        `Error (false, "schema check failed: " ^ String.concat "; " errs)
+        `Error (false, "bench gates failed: " ^ String.concat "; " errs)
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the JSON bench pipeline: simulator step counts, native \
-          multi-domain throughput and wall-clock spans (procs 1,2,4,8), \
-          direct timing, and the windowed telemetry series — the \
-          BENCH_PR10.json rows.")
-    Term.(ret (const run $ json $ out $ quick))
-
-let store_bench_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Write the rows as JSON to $(b,--out) and validate them.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "STORE_BENCH.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output path for the JSON rows.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
-  in
-  let run json out quick =
-    let rows = Experiments.Bench_json.store_rows ~quick in
-    if not json then begin
-      Format.printf "%a" Experiments.Bench_json.pp_rows rows;
-      `Ok ()
-    end
-    else begin
-      Experiments.Bench_json.write_file ~path:out rows;
-      Printf.printf "wrote %d rows to %s\n" (List.length rows) out;
-      match
-        Experiments.Bench_json.validate_file
-          ~scope:Experiments.Bench_json.Store ~path:out ()
-      with
-      | Ok _ -> `Ok ()
-      | Error errs ->
-          `Error (false, "store gate failed: " ^ String.concat "; " errs)
-    end
-  in
-  Cmd.v
-    (Cmd.info "store-bench"
-       ~doc:
-         "Run only the keyed-store stages (Wfa.Store): exact sim \
-          counters (ops, graph entries, fallbacks, spec replays) and \
-          native batched-vs-unbatched throughput with latency \
-          percentiles, procs 1,2,4,8.  With $(b,--json) the rows are \
-          written and checked against the store_* gates — including \
-          batched >= unbatched throughput at procs >= 4.")
-    Term.(ret (const run $ json $ out $ quick))
+         "Run the JSON bench pipeline and validate its rows: simulator \
+          step counts, native multi-domain throughput and wall-clock spans \
+          (procs 1,2,4,8), direct timing, and the windowed telemetry \
+          series.  BENCH_PR10.json is the committed full run.")
+    Term.(ret (const run $ out $ quick $ only))
 
 let bench_validate_cmd =
   let file =
@@ -1204,29 +1171,22 @@ let bench_validate_cmd =
   let only =
     Arg.(
       value
-      & opt
-          (some
-             (enum
-                [
-                  ("store", Experiments.Bench_json.Store);
-                  ("series", Experiments.Bench_json.Series);
-                  ("scan", Experiments.Bench_json.Scan);
-                ]))
-          None
+      & opt (some family_enum) None
       & info [ "only" ] ~docv:"FAMILY"
           ~doc:
-            "Restrict the semantic pass to one bench family's gates: \
-             $(b,store) (what a partial file like store-bench output can \
-             satisfy) or $(b,series) (only the windowed time-series \
-             invariants — contiguous windows, monotone timestamps, \
-             ops reconciliation).  Without it the file must carry every \
-             family.")
+            "Restrict the semantic pass to one bench family's gates, for a \
+             file that carries only that family (such as $(b,wfa bench \
+             --only) output): $(b,store) (wall-clock sanity, the store \
+             batching gates, the windowed stages and series), $(b,series) \
+             (only the windowed time-series invariants — contiguous \
+             windows, monotone timestamps, ops reconciliation) or \
+             $(b,scan) (wall-clock sanity, scan rows against \
+             Scan.cost_formula, adaptive and lattice vs optimized, native \
+             adaptive/lattice rows present).  Without it the file must \
+             carry every family.")
   in
   let run file only =
-    let scope =
-      Option.value only ~default:Experiments.Bench_json.All
-    in
-    match Experiments.Bench_json.validate_file ~scope ~path:file () with
+    match Experiments.Bench_json.validate_file ?only ~path:file () with
     | Ok n ->
         Printf.printf "%s: ok (%d rows)\n" file n;
         `Ok ()
@@ -1264,6 +1224,5 @@ let () =
             lincheck_demo_cmd;
             top_cmd;
             bench_cmd;
-            store_bench_cmd;
             bench_validate_cmd;
           ]))

@@ -5,10 +5,11 @@
    results. *)
 
 (* Re-export the table type so external callers (bench, CLI) can render
-   experiment output themselves, and the JSON bench pipeline so they can
-   run/validate it. *)
+   experiment output themselves, and the JSON bench pipeline (rows and
+   gates, stages) so they can run/validate it. *)
 module Table = Table
 module Bench_json = Bench_json
+module Bench_stages = Bench_stages
 
 type experiment = {
   id : string;

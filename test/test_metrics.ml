@@ -444,17 +444,20 @@ let test_scan_escalation_reaches_exporters () =
       check_bool "seqlock_retry exported (zero in the simulator)" true
         (value "seqlock_retry" = Some 0.0)
 
-(* --- bench JSON round-trip -------------------------------------------------- *)
+(* --- bench JSON gates ---------------------------------------------------------- *)
 
-(* the schedule-exploration coverage family the PR 6 validator requires:
-   all five stages, each with the full four-metric family, the clean
-   stage clean, the buggy stages finding their bug, random stages with
-   sampled = explored > 0 and systematic stages with sampled = 0 *)
+module B = Experiments.Bench_json
+
+let validate ?only rows = B.validate_string ?only (B.to_json rows)
+
+(* the schedule-exploration family: all five stages, each with the full
+   four-metric family, the clean stage clean, the buggy stages finding
+   their bug, random stages with sampled = explored > 0 and systematic
+   stages with sampled = 0 *)
 let explore_stage_rows ~bench ~procs ~explored ~pruned ~sampled ~violations =
   List.map
     (fun (metric, value) ->
-      Experiments.Bench_json.row ~bench ~procs ~backend:"sim" ~metric ~value
-        ~unit_:"schedules")
+      B.row ~bench ~procs ~backend:"sim" ~metric ~value ~unit_:"schedules")
     [
       ("explored", explored);
       ("pruned", pruned);
@@ -477,22 +480,21 @@ let explore_rows =
         ~explored:400.0 ~pruned:0.0 ~sampled:400.0 ~violations:110.0;
     ]
 
-(* the store family the PR 7 validator requires: native wall-clock +
-   throughput and exact sim ops/entries counters at the full sweep for
-   both batching policies, with batched >= unbatched throughput at
-   procs >= 4 and entries <= ops *)
+(* the store family: native wall-clock + throughput and exact sim
+   ops/entries counters at the full sweep for both batching policies,
+   with batched >= unbatched throughput at procs >= 4 and entries <= ops *)
 let store_stage_rows ~bench ~ops_per_sec ~entries =
   List.concat_map
     (fun procs ->
       [
-        Experiments.Bench_json.row ~bench ~procs ~backend:"native"
-          ~metric:"wall_ns" ~value:2e7 ~unit_:"ns";
-        Experiments.Bench_json.row ~bench ~procs ~backend:"native"
-          ~metric:"ops_per_sec" ~value:ops_per_sec ~unit_:"ops/s";
-        Experiments.Bench_json.row ~bench ~procs ~backend:"sim" ~metric:"ops"
-          ~value:96.0 ~unit_:"ops";
-        Experiments.Bench_json.row ~bench ~procs ~backend:"sim"
-          ~metric:"entries" ~value:entries ~unit_:"entries";
+        B.row ~bench ~procs ~backend:"native" ~metric:"wall_ns" ~value:2e7
+          ~unit_:"ns";
+        B.row ~bench ~procs ~backend:"native" ~metric:"ops_per_sec"
+          ~value:ops_per_sec ~unit_:"ops/s";
+        B.row ~bench ~procs ~backend:"sim" ~metric:"ops" ~value:96.0
+          ~unit_:"ops";
+        B.row ~bench ~procs ~backend:"sim" ~metric:"entries" ~value:entries
+          ~unit_:"entries";
       ])
     [ 1; 2; 4; 8 ]
 
@@ -500,15 +502,13 @@ let store_rows =
   store_stage_rows ~bench:"store_batched" ~ops_per_sec:4e5 ~entries:24.0
   @ store_stage_rows ~bench:"store_unbatched" ~ops_per_sec:2e5 ~entries:96.0
 
-(* the windowed-store family the PR 8 validator requires: each open-loop
-   sweep stage and the read-mix stage at procs 4 native, with a windowed
-   w_ops/w_end_ns series whose per-window ops reconcile against the
-   stage's "ops" total, plus a target_rate row for open-loop stages *)
+(* the windowed store stages: each open-loop sweep stage and the
+   read-mix stage at procs 4 native, with a windowed w_ops/w_end_ns
+   series whose per-window ops reconcile against the stage's "ops"
+   total, plus a target_rate row for open-loop stages *)
 let windowed_stage_rows ~bench ~target_rate =
-  let row = Experiments.Bench_json.row ~bench ~procs:4 ~backend:"native" in
-  let wrow ~window =
-    Experiments.Bench_json.wrow ~window ~bench ~procs:4 ~backend:"native"
-  in
+  let row = B.row ~bench ~procs:4 ~backend:"native" in
+  let wrow ~window = B.wrow ~window ~bench ~procs:4 ~backend:"native" in
   [
     row ~metric:"wall_ns" ~value:2e7 ~unit_:"ns";
     row ~metric:"ops_per_sec" ~value:5e4 ~unit_:"ops/s";
@@ -539,300 +539,353 @@ let windowed_rows =
       windowed_stage_rows ~bench:"store_batched_readmix" ~target_rate:None;
     ]
 
-let test_bench_json_roundtrip () =
-  (* the universal wall-clock family the PR 5 validator requires at the
-     full sweep, for both universal benches *)
-  let universal_rows =
-    List.concat_map
+(* sim scan rows at their Section 6.2 formula values for the two
+   cross-variant gates (uncontended adaptive vs optimized, contended
+   lattice vs optimized), plus the native wall_ns rows of the adaptive
+   and lattice stages at procs 8 *)
+let scan_rows =
+  List.concat_map
+    (fun procs ->
+      List.concat_map
+        (fun (bench, variant) ->
+          let reads, writes = Snapshot.Scan.cost_formula ~procs variant in
+          [
+            B.row ~bench ~procs ~backend:"sim" ~metric:"reads"
+              ~value:(float_of_int reads) ~unit_:"accesses";
+            B.row ~bench ~procs ~backend:"sim" ~metric:"writes"
+              ~value:(float_of_int writes) ~unit_:"accesses";
+          ])
+        [
+          ("scan_opt_uncontended", Snapshot.Scan.Optimized);
+          ("scan_adaptive_uncontended", Snapshot.Scan.Adaptive);
+          ("scan_opt_contended", Snapshot.Scan.Optimized);
+          ("scan_lattice_contended", Snapshot.Scan.Lattice);
+        ])
+    [ 4; 8 ]
+  @ List.map
       (fun bench ->
-        List.concat_map
-          (fun procs ->
-            [
-              Experiments.Bench_json.row ~bench ~procs ~backend:"native"
-                ~metric:"wall_ns" ~value:1e7 ~unit_:"ns";
-              Experiments.Bench_json.row ~bench ~procs ~backend:"native"
-                ~metric:"ops_per_sec" ~value:1e5 ~unit_:"ops/s";
-            ])
-          [ 1; 2; 4; 8 ])
-      [ "universal_counter"; "universal_gset" ]
-  in
-  let rows =
-    [
-      Experiments.Bench_json.row ~bench:"scan_plain_uncontended" ~procs:2
-        ~backend:"sim" ~metric:"reads" ~value:7.0 ~unit_:"accesses";
-      Experiments.Bench_json.row ~bench:"counter_inc" ~procs:1
-        ~backend:"native" ~metric:"ops_per_sec" ~value:1.5e6 ~unit_:"ops/s";
-      Experiments.Bench_json.row ~bench:"counter_inc" ~procs:2
-        ~backend:"native" ~metric:"ops_per_sec" ~value:2.5e6 ~unit_:"ops/s";
-      Experiments.Bench_json.row ~bench:"counter_inc" ~procs:4
-        ~backend:"native" ~metric:"ops_per_sec" ~value:3e6 ~unit_:"ops/s";
-      Experiments.Bench_json.row ~bench:"counter_inc" ~procs:8
-        ~backend:"native" ~metric:"ops_per_sec" ~value:4e6 ~unit_:"ops/s";
-    ]
-    @ universal_rows @ explore_rows @ store_rows @ windowed_rows
-  in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json rows)
-   with
-  | Ok n -> check_int "row count survives round-trip" (List.length rows) n
-  | Error errs -> Alcotest.fail (String.concat "; " errs));
-  (* a sim scan row contradicting the formula must be rejected *)
-  let bad =
-    Experiments.Bench_json.row ~bench:"scan_plain_uncontended" ~procs:2
-      ~backend:"sim" ~metric:"reads" ~value:6.0 ~unit_:"accesses"
-  in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json (bad :: List.tl rows))
-   with
-  | Ok _ -> Alcotest.fail "formula violation must be rejected"
-  | Error _ -> ());
-  (* wall-clock rows are schema-checked: wrong unit or a non-positive
-     span must be rejected (but no magnitude thresholds) *)
-  let wrong_unit =
-    Experiments.Bench_json.row ~bench:"universal_counter" ~procs:1
-      ~backend:"native" ~metric:"wall_ns" ~value:1e7 ~unit_:"ms"
-  in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json (wrong_unit :: rows))
-   with
-  | Ok _ -> Alcotest.fail "wall_ns with unit \"ms\" must be rejected"
-  | Error _ -> ());
-  (* dropping one universal coverage row must be flagged *)
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (List.filter
-             (fun r ->
-               not
-                 (r.Experiments.Bench_json.bench = "universal_gset"
-                 && r.Experiments.Bench_json.procs = 8
-                 && r.Experiments.Bench_json.metric = "wall_ns"))
-             rows))
-   with
-  | Ok _ -> Alcotest.fail "missing universal wall_ns coverage accepted"
-  | Error _ -> ());
-  (* the incremental mode may never replay more than the reference *)
-  let replay_pair v =
-    [
-      Experiments.Bench_json.row ~bench:"universal_counter" ~procs:2
-        ~backend:"sim" ~metric:"spec_replays" ~value:v ~unit_:"calls";
-      Experiments.Bench_json.row ~bench:"universal_counter" ~procs:2
-        ~backend:"sim" ~metric:"spec_replays_reference" ~value:100.0
-        ~unit_:"calls";
-    ]
-  in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json (rows @ replay_pair 40.0))
-   with
-  | Ok _ -> ()
-  | Error errs -> Alcotest.fail (String.concat "; " errs));
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json (rows @ replay_pair 140.0))
-   with
-  | Ok _ -> Alcotest.fail "spec_replays above reference accepted"
-  | Error _ -> ());
-  (* explore coverage gates: a clean stage reporting a violation, a
-     random stage whose sampled count disagrees with explored, a buggy
-     stage that failed to find its bug, and a dropped metric row must
-     all be flagged *)
-  let swap_stage bench stage =
-    List.filter (fun r -> r.Experiments.Bench_json.bench <> bench) rows @ stage
-  in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (swap_stage "explore_scan_dpor"
-             (explore_stage_rows ~bench:"explore_scan_dpor" ~procs:2
-                ~explored:108.0 ~pruned:38.0 ~sampled:0.0 ~violations:1.0)))
-   with
-  | Ok _ -> Alcotest.fail "violation in the clean explore stage accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (swap_stage "explore_racy_max_uniform"
-             (explore_stage_rows ~bench:"explore_racy_max_uniform" ~procs:6
-                ~explored:400.0 ~pruned:0.0 ~sampled:250.0 ~violations:234.0)))
-   with
-  | Ok _ -> Alcotest.fail "random stage with sampled <> explored accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (swap_stage "explore_collect_uniform"
-             (explore_stage_rows ~bench:"explore_collect_uniform" ~procs:6
-                ~explored:400.0 ~pruned:0.0 ~sampled:400.0 ~violations:0.0)))
-   with
-  | Ok _ -> Alcotest.fail "injected bug not found but accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (List.filter
-             (fun r ->
-               not
-                 (r.Experiments.Bench_json.bench = "explore_counter_bounded"
-                 && r.Experiments.Bench_json.metric = "pruned"))
-             rows))
-   with
-  | Ok _ -> Alcotest.fail "missing explore metric row accepted"
-  | Error _ -> ());
-  (* store gates (PR 7): batched throughput below unbatched at procs >= 4,
-     sim entries exceeding ops, batched entries above the unbatched
-     baseline, and dropped store coverage must all be flagged; the same
-     store-only rows must pass under the Store scope but fail the full
-     validator (which demands every other family too) *)
-  let replace_store bench stage =
-    List.filter (fun r -> r.Experiments.Bench_json.bench <> bench) rows @ stage
-  in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (replace_store "store_batched"
-             (store_stage_rows ~bench:"store_batched" ~ops_per_sec:1e5
-                ~entries:24.0)))
-   with
-  | Ok _ -> Alcotest.fail "batched slower than unbatched at procs >= 4 accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (replace_store "store_unbatched"
-             (store_stage_rows ~bench:"store_unbatched" ~ops_per_sec:2e5
-                ~entries:97.0)))
-   with
-  | Ok _ -> Alcotest.fail "sim store entries above ops accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (replace_store "store_batched"
-             (store_stage_rows ~bench:"store_batched" ~ops_per_sec:4e5
-                ~entries:96.0
-             |> List.map (fun r ->
-                    if r.Experiments.Bench_json.metric = "entries" then
-                      Experiments.Bench_json.row ~bench:"store_batched"
-                        ~procs:r.Experiments.Bench_json.procs ~backend:"sim"
-                        ~metric:"entries" ~value:96.5 ~unit_:"entries"
-                    else r))))
-   with
-  | Ok _ -> Alcotest.fail "non-integer sim store counter accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (List.filter
-             (fun r ->
-               not
-                 (r.Experiments.Bench_json.bench = "store_unbatched"
-                 && r.Experiments.Bench_json.procs = 4
-                 && r.Experiments.Bench_json.metric = "ops_per_sec"))
-             rows))
-   with
-  | Ok _ -> Alcotest.fail "missing store throughput coverage accepted"
-  | Error _ -> ());
-  let store_family = store_rows @ windowed_rows in
-  (match
-     Experiments.Bench_json.validate_string
-       ~scope:Experiments.Bench_json.Store
-       (Experiments.Bench_json.to_json store_family)
-   with
-  | Ok n ->
-      check_int "store scope passes store-only rows"
-        (List.length store_family) n
-  | Error errs -> Alcotest.fail (String.concat "; " errs));
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json store_family)
-   with
-  | Ok _ -> Alcotest.fail "store-only rows passed the full validator"
-  | Error _ -> ());
-  (* series gates (PR 8): per-window ops that no longer reconcile with
-     the stage total, a dropped windowed series, a w_-prefixed metric
-     without a window, a non-contiguous window index, and a stale
-     target_rate must all be flagged; the windowed rows alone must pass
-     under the Series scope *)
-  let map_windowed f =
-    List.map
-      (fun r ->
-        if
-          r.Experiments.Bench_json.bench = "store_openloop_r5000"
-          && r.Experiments.Bench_json.window <> None
-        then f r
-        else r)
+        B.row ~bench ~procs:8 ~backend:"native" ~metric:"wall_ns" ~value:3e6
+          ~unit_:"ns")
+      [
+        "scan_adaptive_uncontended";
+        "scan_adaptive_contended";
+        "scan_lattice_uncontended";
+        "scan_lattice_contended";
+      ]
+
+(* the universal wall-clock family at the full sweep, for both universal
+   benches *)
+let universal_rows =
+  List.concat_map
+    (fun bench ->
+      List.concat_map
+        (fun procs ->
+          [
+            B.row ~bench ~procs ~backend:"native" ~metric:"wall_ns" ~value:1e7
+              ~unit_:"ns";
+            B.row ~bench ~procs ~backend:"native" ~metric:"ops_per_sec"
+              ~value:1e5 ~unit_:"ops/s";
+          ])
+        [ 1; 2; 4; 8 ])
+    [ "universal_counter"; "universal_gset" ]
+
+(* a file carrying every family, well-formed *)
+let rows =
+  [
+    B.row ~bench:"scan_plain_uncontended" ~procs:2 ~backend:"sim"
+      ~metric:"reads" ~value:7.0 ~unit_:"accesses";
+    B.row ~bench:"counter_inc" ~procs:1 ~backend:"native"
+      ~metric:"ops_per_sec" ~value:1.5e6 ~unit_:"ops/s";
+    B.row ~bench:"counter_inc" ~procs:2 ~backend:"native"
+      ~metric:"ops_per_sec" ~value:2.5e6 ~unit_:"ops/s";
+    B.row ~bench:"counter_inc" ~procs:4 ~backend:"native"
+      ~metric:"ops_per_sec" ~value:3e6 ~unit_:"ops/s";
+    B.row ~bench:"counter_inc" ~procs:8 ~backend:"native"
+      ~metric:"ops_per_sec" ~value:4e6 ~unit_:"ops/s";
+    B.row ~bench:"counter_inc" ~procs:1 ~backend:"native"
+      ~metric:"lost_updates" ~value:0.0 ~unit_:"ops";
+  ]
+  @ universal_rows @ explore_rows @ store_rows @ windowed_rows @ scan_rows
+
+(* [at bench ?procs ?metric r]: [r] belongs to [bench] (and the given
+   procs / metric) *)
+let at ?procs ?metric ?(windowed = false) bench (r : B.row) =
+  r.bench = bench
+  && Option.fold ~none:true ~some:(( = ) r.procs) procs
+  && Option.fold ~none:true ~some:(( = ) r.metric) metric
+  && (r.window <> None) = windowed
+
+let without p = List.filter (fun r -> not (p r))
+let set_value p v =
+  List.map (fun (r : B.row) -> if p r then { r with value = v } else r)
+
+let replace bench stage =
+  without (fun (r : B.row) -> r.bench = bench) rows @ stage
+
+(* Every gate's fixtures as (name, scope, expected verdict, rows): [true]
+   means the rows must validate, [false] that some gate must reject
+   them.  The scope is [None] for the full validator or [Some family]
+   for `--only family`. *)
+let gate_fixtures =
+  [
+    ("every family, well-formed", None, true, rows);
+    ( "scan formula violation",
+      None,
+      false,
+      set_value (at "scan_plain_uncontended" ~procs:2 ~metric:"reads") 6.0 rows
+    );
+    ( "wall_ns with unit ms",
+      None,
+      false,
+      B.row ~bench:"universal_counter" ~procs:1 ~backend:"native"
+        ~metric:"wall_ns" ~value:1e7 ~unit_:"ms"
+      :: rows );
+    ( "wall_ns zero",
+      None,
+      false,
+      set_value (at "universal_counter" ~procs:1 ~metric:"wall_ns") 0.0 rows );
+    ( "ops_per_sec zero",
+      None,
+      false,
+      set_value (at "counter_inc" ~procs:1 ~metric:"ops_per_sec") 0.0 rows );
+    ( "lost updates",
+      None,
+      false,
+      set_value (at "counter_inc" ~metric:"lost_updates") 3.0 rows );
+    ( "no native ops_per_sec at procs 2",
+      None,
+      false,
+      without
+        (fun (r : B.row) ->
+          r.backend = "native" && r.procs = 2 && r.metric = "ops_per_sec")
+        rows );
+    ( "missing universal wall_ns",
+      None,
+      false,
+      without (at "universal_gset" ~procs:8 ~metric:"wall_ns") rows );
+    ( "spec_replays below reference",
+      None,
+      true,
       rows
+      @ [
+          B.row ~bench:"universal_counter" ~procs:2 ~backend:"sim"
+            ~metric:"spec_replays" ~value:40.0 ~unit_:"calls";
+          B.row ~bench:"universal_counter" ~procs:2 ~backend:"sim"
+            ~metric:"spec_replays_reference" ~value:100.0 ~unit_:"calls";
+        ] );
+    ( "spec_replays above reference",
+      None,
+      false,
+      rows
+      @ [
+          B.row ~bench:"universal_counter" ~procs:2 ~backend:"sim"
+            ~metric:"spec_replays" ~value:140.0 ~unit_:"calls";
+          B.row ~bench:"universal_counter" ~procs:2 ~backend:"sim"
+            ~metric:"spec_replays_reference" ~value:100.0 ~unit_:"calls";
+        ] );
+    ( "violation in the clean explore stage",
+      None,
+      false,
+      set_value (at "explore_scan_dpor" ~metric:"violations") 1.0 rows );
+    ( "random explore stage with sampled <> explored",
+      None,
+      false,
+      set_value (at "explore_racy_max_uniform" ~metric:"sampled") 250.0 rows );
+    ( "injected bug not found",
+      None,
+      false,
+      set_value (at "explore_collect_uniform" ~metric:"violations") 0.0 rows );
+    ( "missing explore metric",
+      None,
+      false,
+      without (at "explore_counter_bounded" ~metric:"pruned") rows );
+    ( "explore row on the native backend",
+      None,
+      false,
+      List.map
+        (fun (r : B.row) ->
+          if at "explore_scan_dpor" ~metric:"explored" r then
+            { r with backend = "native" }
+          else r)
+        rows );
+    ( "explore row with unit runs",
+      None,
+      false,
+      List.map
+        (fun (r : B.row) ->
+          if at "explore_scan_dpor" ~metric:"pruned" r then
+            { r with unit_ = "runs" }
+          else r)
+        rows );
+    ( "non-integer explore count",
+      None,
+      false,
+      set_value (at "explore_scan_dpor" ~metric:"pruned") 38.5 rows );
+    ( "random explore stage that explored nothing",
+      None,
+      false,
+      set_value
+        (fun r ->
+          at "explore_lost_update_uniform" r
+          && (r.metric = "explored" || r.metric = "sampled"))
+        0.0 rows );
+    ( "systematic explore stage with sampled <> 0",
+      None,
+      false,
+      set_value (at "explore_counter_bounded" ~metric:"sampled") 36.0 rows );
+    ( "batched slower than unbatched at procs >= 4",
+      None,
+      false,
+      replace "store_batched"
+        (store_stage_rows ~bench:"store_batched" ~ops_per_sec:1e5
+           ~entries:24.0) );
+    ( "sim store entries above ops",
+      None,
+      false,
+      replace "store_unbatched"
+        (store_stage_rows ~bench:"store_unbatched" ~ops_per_sec:2e5
+           ~entries:97.0) );
+    ( "batched sim entries above unbatched",
+      None,
+      false,
+      replace "store_unbatched"
+        (store_stage_rows ~bench:"store_unbatched" ~ops_per_sec:2e5
+           ~entries:20.0) );
+    ( "non-integer sim store counter",
+      None,
+      false,
+      set_value
+        (fun (r : B.row) -> r.bench = "store_batched" && r.metric = "entries")
+        23.5 rows );
+    ( "missing store throughput",
+      None,
+      false,
+      without (at "store_unbatched" ~procs:4 ~metric:"ops_per_sec") rows );
+    ("store scope passes store-only rows", Some B.Store, true,
+     store_rows @ windowed_rows);
+    ("store-only rows fail the full validator", None, false,
+     store_rows @ windowed_rows);
+    ( "window ops not summing to the stage total",
+      None,
+      false,
+      set_value (at "store_openloop_r5000" ~metric:"w_ops" ~windowed:true) 1.0
+        rows );
+    ( "missing windowed series",
+      None,
+      false,
+      without (at "store_batched_readmix" ~windowed:true) rows );
+    ( "w_-prefixed metric without a window",
+      None,
+      false,
+      B.row ~bench:"store_openloop_r2000" ~procs:4 ~backend:"native"
+        ~metric:"w_ops" ~value:3.0 ~unit_:"ops"
+      :: rows );
+    ( "unknown windowed metric",
+      None,
+      false,
+      B.wrow ~window:0 ~bench:"store_openloop_r2000" ~procs:4 ~backend:"native"
+        ~metric:"w_bogus" ~value:3.0 ~unit_:"ops"
+      :: rows );
+    ( "non-contiguous window indices",
+      None,
+      false,
+      List.map
+        (fun (r : B.row) ->
+          if at "store_openloop_r5000" ~windowed:true r && r.window = Some 1
+          then { r with window = Some 2 }
+          else r)
+        rows );
+    ( "w_end_ns not increasing",
+      None,
+      false,
+      List.map
+        (fun (r : B.row) ->
+          if
+            at "store_openloop_r5000" ~metric:"w_end_ns" ~windowed:true r
+            && r.window = Some 1
+          then { r with value = 1e7 }
+          else r)
+        rows );
+    ( "negative windowed delta",
+      None,
+      false,
+      set_value
+        (at "store_openloop_r2000" ~metric:"w_delta_shard_queue_depth"
+           ~windowed:true)
+        (-5.0) rows );
+    ( "negative windowed latency",
+      None,
+      false,
+      set_value
+        (at "store_openloop_r2000" ~metric:"w_latency_p99" ~windowed:true)
+        (-1.0) rows );
+    ( "series without an ops total",
+      Some B.Series,
+      false,
+      without (at "store_batched_readmix" ~metric:"ops") windowed_rows );
+    ("series scope passes windowed rows", Some B.Series, true, windowed_rows);
+    ( "missing windowed-stage wall_ns",
+      Some B.Store,
+      false,
+      without (at "store_openloop_r2000" ~metric:"wall_ns")
+        (store_rows @ windowed_rows) );
+    ( "missing open-loop target_rate",
+      Some B.Store,
+      false,
+      without (at "store_openloop_r10000" ~metric:"target_rate")
+        (store_rows @ windowed_rows) );
+    ( "target_rate contradicting the stage name",
+      None,
+      false,
+      set_value (at "store_openloop_r10000" ~metric:"target_rate") 9000.0 rows
+    );
+    ("scan scope passes scan-only rows", Some B.Scan, true, scan_rows);
+    ( "adaptive uncontended costlier than optimized",
+      Some B.Scan,
+      false,
+      set_value (at "scan_adaptive_uncontended" ~procs:4 ~metric:"reads") 40.0
+        scan_rows );
+    ( "missing scan_adaptive_uncontended rows",
+      Some B.Scan,
+      false,
+      without
+        (fun r ->
+          at "scan_adaptive_uncontended" ~procs:8 r && r.backend = "sim")
+        scan_rows );
+    ( "lattice contended costlier than optimized at procs 4",
+      Some B.Scan,
+      false,
+      set_value (at "scan_lattice_contended" ~procs:4 ~metric:"reads") 40.0
+        scan_rows );
+    ( "lattice contended costlier than optimized at procs 8",
+      Some B.Scan,
+      false,
+      set_value (at "scan_lattice_contended" ~procs:8 ~metric:"writes") 90.0
+        scan_rows );
+    ( "missing native lattice wall_ns at procs 8",
+      Some B.Scan,
+      false,
+      without (at "scan_lattice_contended" ~procs:8 ~metric:"wall_ns") scan_rows
+    );
+  ]
+
+let test_bench_gates () =
+  let wrong =
+    List.filter_map
+      (fun (name, only, ok, rows) ->
+        match (validate ?only rows, ok) with
+        | Ok n, true when n = List.length rows -> None
+        | Ok n, true -> Some (Printf.sprintf "%s: row count %d" name n)
+        | Error _, false -> None
+        | Ok _, false -> Some (name ^ ": accepted")
+        | Error errs, true ->
+            Some (Printf.sprintf "%s: rejected (%s)" name
+                    (String.concat "; " errs)))
+      gate_fixtures
   in
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (map_windowed (fun r ->
-               if r.Experiments.Bench_json.metric = "w_ops" then
-                 { r with Experiments.Bench_json.value = 1.0 }
-               else r)))
-   with
-  | Ok _ -> Alcotest.fail "window ops not summing to the stage total accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (List.filter
-             (fun r ->
-               not
-                 (r.Experiments.Bench_json.bench = "store_batched_readmix"
-                 && r.Experiments.Bench_json.window <> None))
-             rows))
-   with
-  | Ok _ -> Alcotest.fail "missing windowed series accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (Experiments.Bench_json.row ~bench:"store_openloop_r2000" ~procs:4
-             ~backend:"native" ~metric:"w_ops" ~value:3.0 ~unit_:"ops"
-          :: rows))
-   with
-  | Ok _ -> Alcotest.fail "w_-prefixed metric without a window accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (map_windowed (fun r ->
-               if r.Experiments.Bench_json.window = Some 1 then
-                 { r with Experiments.Bench_json.window = Some 2 }
-               else r)))
-   with
-  | Ok _ -> Alcotest.fail "non-contiguous window indices accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       (Experiments.Bench_json.to_json
-          (List.map
-             (fun r ->
-               if
-                 r.Experiments.Bench_json.bench = "store_openloop_r10000"
-                 && r.Experiments.Bench_json.metric = "target_rate"
-               then { r with Experiments.Bench_json.value = 9000.0 }
-               else r)
-             rows))
-   with
-  | Ok _ -> Alcotest.fail "target_rate contradicting the stage name accepted"
-  | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       ~scope:Experiments.Bench_json.Series
-       (Experiments.Bench_json.to_json windowed_rows)
-   with
-  | Ok n ->
-      check_int "series scope passes windowed rows"
-        (List.length windowed_rows) n
-  | Error errs -> Alcotest.fail (String.concat "; " errs));
-  (* and broken syntax is a parse error, not a crash *)
-  match Experiments.Bench_json.validate_string "[{\"bench\": }]" with
+  if wrong <> [] then Alcotest.fail (String.concat "\n" wrong);
+  (* broken syntax is a parse error, not a crash *)
+  match B.validate_string "[{\"bench\": }]" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
@@ -877,6 +930,6 @@ let () =
       ( "bench-json",
         [
           Alcotest.test_case "round-trip + schema gates" `Quick
-            test_bench_json_roundtrip;
+            test_bench_gates;
         ] );
     ]
